@@ -16,7 +16,9 @@
 //      with deterministic reports.
 //
 // google-benchmark timings cover the substrate operations the service hot
-// path leans on: batch encode/decode and KvStore application.
+// path leans on: batch encode, KvStore application of a raw decided value
+// (decode + apply), and application of an already-decoded batch (the
+// per-replica cost once a decision is decoded once and shared).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -198,6 +200,26 @@ void BM_KvApplyDecision(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_KvApplyDecision)->Arg(1)->Arg(64)->Arg(1024);
+
+// The serving path's per-replica cost: the batch is decoded once (outside
+// the loop) and only applied, as KvService shares it across replicas.
+void BM_KvApplyDecoded(benchmark::State& state) {
+  const std::int64_t batch = state.range(0);
+  std::vector<svc::Command> commands;
+  for (std::int64_t i = 0; i < batch; ++i) {
+    commands.push_back({"k" + std::to_string(i % 64), Value(i)});
+  }
+  const svc::DecodedBatch decoded =
+      svc::decode_decision(svc::encode_batch(commands));
+  svc::KvStore store;
+  std::int64_t applied = 0;
+  for (auto _ : state) {
+    applied += store.apply(decoded).applied;
+  }
+  benchmark::DoNotOptimize(applied);
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_KvApplyDecoded)->Arg(1)->Arg(64)->Arg(1024);
 
 void BM_SvcSmallRun(benchmark::State& state) {
   for (auto _ : state) {

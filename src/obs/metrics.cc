@@ -191,28 +191,43 @@ Value MetricsSnapshot::timing_value() const {
   return snapshot_to_value(*this, 2);
 }
 
-void MetricsRegistry::add(const std::string& name, std::int64_t delta) {
-  snap_.counters[name] += delta;
+void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
+  auto it = snap_.counters.find(name);
+  if (it == snap_.counters.end()) {
+    it = snap_.counters.emplace(std::string(name), 0).first;
+  }
+  it->second += delta;
 }
 
-void MetricsRegistry::gauge_max(const std::string& name, std::int64_t v) {
-  auto [it, inserted] = snap_.gauges.emplace(name, v);
-  if (!inserted) it->second = std::max(it->second, v);
+void MetricsRegistry::gauge_max(std::string_view name, std::int64_t v) {
+  auto it = snap_.gauges.find(name);
+  if (it == snap_.gauges.end()) {
+    snap_.gauges.emplace(std::string(name), v);
+  } else {
+    it->second = std::max(it->second, v);
+  }
 }
 
-void MetricsRegistry::observe(const std::string& name, std::int64_t v,
+HistogramData& MetricsRegistry::histogram(
+    std::string_view name, const std::vector<std::int64_t>& bounds) {
+  auto it = snap_.histograms.find(name);
+  if (it == snap_.histograms.end()) {
+    HistogramData fresh;
+    fresh.bounds = bounds;
+    it = snap_.histograms.emplace(std::string(name), std::move(fresh)).first;
+  }
+  return it->second;
+}
+
+void MetricsRegistry::observe(std::string_view name, std::int64_t v,
                               const std::vector<std::int64_t>& bounds) {
-  auto [it, inserted] = snap_.histograms.emplace(name, HistogramData{});
-  if (inserted) it->second.bounds = bounds;
-  it->second.observe(v);
+  histogram(name, bounds).observe(v);
 }
 
-void MetricsRegistry::observe_nanos(const std::string& name,
-                                    std::int64_t ns) {
-  auto [it, inserted] = snap_.histograms.emplace(name, HistogramData{});
-  if (inserted) it->second.bounds = latency_nanos_bounds();
-  it->second.wall_clock = true;
-  it->second.observe(ns);
+void MetricsRegistry::observe_nanos(std::string_view name, std::int64_t ns) {
+  HistogramData& h = histogram(name, latency_nanos_bounds());
+  h.wall_clock = true;
+  h.observe(ns);
 }
 
 void record_history_metrics(const History& h, MetricsRegistry& m) {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/history.h"
@@ -83,9 +84,11 @@ struct HistogramData {
 };
 
 struct MetricsSnapshot {
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, HistogramData> histograms;
+  // Transparent comparators: the registry probes by string_view, so a
+  // lookup of an existing name allocates nothing.
+  std::map<std::string, std::int64_t, std::less<>> counters;
+  std::map<std::string, std::int64_t, std::less<>> gauges;
+  std::map<std::string, HistogramData, std::less<>> histograms;
 
   // Associative + commutative combine (see header comment).  Histograms
   // with mismatched bucket layouts merge via their scalar summary only
@@ -111,20 +114,53 @@ struct MetricsSnapshot {
 // registry (or builds per-trial snapshots) and snapshots are merged.
 class MetricsRegistry {
  public:
-  void add(const std::string& name, std::int64_t delta = 1);
+  void add(std::string_view name, std::int64_t delta = 1);
   // Gauge as high-watermark: keeps the max of all observed values.
-  void gauge_max(const std::string& name, std::int64_t v);
+  void gauge_max(std::string_view name, std::int64_t v);
   // First observation fixes the bucket bounds; later calls ignore `bounds`.
-  void observe(const std::string& name, std::int64_t v,
+  void observe(std::string_view name, std::int64_t v,
                const std::vector<std::int64_t>& bounds);
   // Wall-clock observation: kLatencyNanos bounds, histogram flagged
   // wall_clock (so it stays out of the stable fingerprint).
-  void observe_nanos(const std::string& name, std::int64_t ns);
+  void observe_nanos(std::string_view name, std::int64_t ns);
+
+  // The histogram `name`, created with `bounds` if absent (later calls
+  // ignore `bounds`).  The reference stays valid for the registry's
+  // lifetime (std::map nodes do not move), so a hot path can resolve a
+  // name once and observe through the reference.  Creating a histogram
+  // puts it in the snapshot even before its first observation.
+  HistogramData& histogram(std::string_view name,
+                           const std::vector<std::int64_t>& bounds);
 
   const MetricsSnapshot& snapshot() const { return snap_; }
 
  private:
   MetricsSnapshot snap_;
+};
+
+// A histogram handle resolved on its first observation and observed through
+// a stable reference after that, so a per-request path pays no name lookup.
+// Resolution is lazy because resolving at construction would put an
+// unobserved, empty histogram in the snapshot and change its fingerprint.
+// The registry must outlive the handle.
+class HistogramHandle {
+ public:
+  HistogramHandle(MetricsRegistry& registry, std::string name,
+                  BoundsFamily family)
+      : registry_(&registry), name_(std::move(name)), family_(family) {}
+
+  void observe(std::int64_t v) {
+    if (hist_ == nullptr) {
+      hist_ = &registry_->histogram(name_, bounds_for(family_));
+    }
+    hist_->observe(v);
+  }
+
+ private:
+  MetricsRegistry* registry_;
+  std::string name_;
+  BoundsFamily family_;
+  HistogramData* hist_ = nullptr;
 };
 
 // Canonical bucket layouts (aliases into bounds_for()).

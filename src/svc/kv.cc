@@ -37,60 +37,85 @@ Value encode_batch(const std::vector<Command>& commands) {
   return Value(std::move(batch));
 }
 
+namespace {
+
+DecodedBatch::Entry decode_entry(const Value& v) {
+  DecodedBatch::Entry entry;
+  if (std::optional<Command> cmd = decode_command(v)) {
+    entry.cmd = std::move(*cmd);
+  } else {
+    entry.garbage = true;
+    entry.cmd.client = v.at("client").int_or(-1);
+    entry.cmd.seq = v.at("seq").int_or(-1);
+  }
+  return entry;
+}
+
+}  // namespace
+
+DecodedBatch decode_decision(const Value& decision) {
+  DecodedBatch batch;
+  if (decision.is_null()) return batch;
+  if (decision.is_array()) {
+    const Value::Array& items = decision.as_array();
+    batch.entries.reserve(items.size());
+    for (const Value& cmd : items) batch.entries.push_back(decode_entry(cmd));
+    return batch;
+  }
+  batch.entries.push_back(decode_entry(decision));
+  return batch;
+}
+
 const Value& KvStore::get(std::string_view key) const {
   static const Value null;
   auto it = data_.find(key);
   return it == data_.end() ? null : it->second;
 }
 
-void KvStore::apply_one(const Value& cmd_value, ApplyStats& stats) {
-  const std::optional<Command> cmd = decode_command(cmd_value);
-  if (!cmd) {
+void KvStore::apply_one(const DecodedBatch::Entry& entry, ApplyStats& stats) {
+  if (entry.garbage) {
     ++stats.garbage;
     ++garbage_total_;
     return;
   }
-  if (cmd->client >= 0) {
-    auto [it, inserted] = last_seq_.try_emplace(cmd->client, cmd->seq);
+  const Command& cmd = entry.cmd;
+  if (cmd.client >= 0) {
+    auto [it, inserted] = last_seq_.try_emplace(cmd.client, cmd.seq);
     if (!inserted) {
-      if (cmd->seq <= it->second) {
+      if (cmd.seq <= it->second) {
         ++stats.deduped;
         ++deduped_total_;
         return;
       }
-      it->second = cmd->seq;
+      it->second = cmd.seq;
     }
   }
-  if (cmd->val.is_null()) {
-    data_.erase(cmd->key);
+  if (cmd.val.is_null()) {
+    data_.erase(cmd.key);
   } else {
-    data_[cmd->key] = cmd->val;
+    data_.insert_or_assign(cmd.key, cmd.val);
   }
   ++stats.applied;
   ++applied_total_;
 }
 
-ApplyStats KvStore::apply_decision(const Value& decision) {
+ApplyStats KvStore::apply(const DecodedBatch& batch) {
   ApplyStats stats;
-  if (decision.is_null()) {
-    stats.empty = true;
-    return stats;
+  stats.empty = batch.entries.empty();
+  for (const DecodedBatch::Entry& entry : batch.entries) {
+    apply_one(entry, stats);
   }
-  if (decision.is_array()) {
-    const Value::Array& batch = decision.as_array();
-    if (batch.empty()) {
-      stats.empty = true;
-      return stats;
-    }
-    for (const Value& cmd : batch) apply_one(cmd, stats);
-    return stats;
-  }
-  apply_one(decision, stats);
   return stats;
 }
 
+ApplyStats KvStore::apply_decision(const Value& decision) {
+  return apply(decode_decision(decision));
+}
+
+Value::Map KvStore::data() const { return Value::Map(data_.begin(), data_.end()); }
+
 std::uint64_t KvStore::fingerprint() const { return to_value().hash(); }
 
-Value KvStore::to_value() const { return Value(data_); }
+Value KvStore::to_value() const { return Value(data()); }
 
 }  // namespace ftss::svc

@@ -1,10 +1,12 @@
 // The replicated key-value state machine: command encoding and the store
 // every replica materializes from the decided command log.
 //
-// This is THE decoding path for decided values — the serving layer, the
-// batching-transparency oracle and examples/replicated_kv.cpp all apply
-// decisions through it, so the garbage-command-skip behavior cannot silently
-// diverge between them (tests/services_test.cc pins the grid).
+// decode_decision() is THE decoding path for decided values: apply_decision
+// is "apply decode_decision(v)", the serving layer applies the same decoded
+// batch at every replica, and the batching-transparency oracle and
+// examples/replicated_kv.cpp go through the same code, so the
+// garbage-command-skip behavior cannot silently diverge between them
+// (tests/services_test.cc pins the grid).
 //
 // Decision shapes (what a consensus instance can decide):
 //   * a single command map  — batch size 1, exactly the shape the original
@@ -19,12 +21,22 @@
 // seq is skipped.  This makes the request plane's at-least-once retransmit
 // (instances lost to systemic corruption are re-proposed) safe: re-applying
 // an already-applied command cannot clobber a later write to the same key.
+//
+// Decode once, serve from a hashed store.  A decided value is decoded into
+// a DecodedBatch of typed commands once, and KvService applies that one
+// batch at every replica whose log holds the agreed value.  The store keeps
+// its contents and its per-client dedup floor in hash maps; only data(),
+// to_value() and fingerprint() sort, when they are called, so the content
+// hash is exactly the hash of the sorted Value map.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "util/value.h"
 
@@ -49,22 +61,43 @@ std::optional<Command> decode_command(const Value& v);
 // size 0 encodes null (the empty heartbeat batch).
 Value encode_batch(const std::vector<Command>& commands);
 
+// One decided value as typed commands, in application order.  Undecodable
+// entries keep their place as garbage (skipped and counted on apply); their
+// (client, seq) is still the tolerant read of the raw entry, so request
+// completion sees exactly the identity the raw value carries.  No entries
+// means the empty batch.
+struct DecodedBatch {
+  struct Entry {
+    Command cmd;           // key and val are meaningful only when !garbage
+    bool garbage = false;
+  };
+  std::vector<Entry> entries;
+};
+
+// The single decoder: null and [] decode to no entries, an array to one
+// entry per element, anything else to one entry.
+DecodedBatch decode_decision(const Value& decision);
+
 // What applying one decided value did.
 struct ApplyStats {
   int applied = 0;     // commands that mutated (or deleted from) the store
   int deduped = 0;     // skipped: (client, seq) already applied
   int garbage = 0;     // skipped: undecodable command (corrupted era)
   bool empty = false;  // the decision was an empty batch
+
+  friend bool operator==(const ApplyStats&, const ApplyStats&) = default;
 };
 
 class KvStore {
  public:
-  // Applies one decided value (single command, batch array, empty, or
-  // garbage) in order.  Totals accumulate on the store; the return value
-  // covers only this decision.
+  // Applies one decoded decision in order.  Totals accumulate on the
+  // store; the return value covers only this decision.
+  ApplyStats apply(const DecodedBatch& batch);
+  // apply(decode_decision(decision)).
   ApplyStats apply_decision(const Value& decision);
 
-  const Value::Map& data() const { return data_; }
+  // The contents as a sorted map (built on each call).
+  Value::Map data() const;
   std::size_t size() const { return data_.size(); }
   // Null when absent.
   const Value& get(std::string_view key) const;
@@ -83,10 +116,18 @@ class KvStore {
   }
 
  private:
-  void apply_one(const Value& cmd, ApplyStats& stats);
+  // Transparent hash: get() and apply probe with a string_view.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
 
-  Value::Map data_;
-  std::map<std::int64_t, std::int64_t> last_seq_;  // per-client dedup floor
+  void apply_one(const DecodedBatch::Entry& entry, ApplyStats& stats);
+
+  std::unordered_map<std::string, Value, KeyHash, std::equal_to<>> data_;
+  std::unordered_map<std::int64_t, std::int64_t> last_seq_;  // dedup floor
   std::int64_t applied_total_ = 0;
   std::int64_t deduped_total_ = 0;
   std::int64_t garbage_total_ = 0;

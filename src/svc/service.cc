@@ -39,15 +39,6 @@ std::int64_t batch_size_of(const Value& decision) {
   return decision.is_map() ? 1 : 0;
 }
 
-void for_each_command(const Value& decision,
-                      const std::function<void(const Value&)>& fn) {
-  if (decision.is_array()) {
-    for (const Value& cmd : decision.as_array()) fn(cmd);
-  } else if (!decision.is_null()) {
-    fn(decision);
-  }
-}
-
 }  // namespace
 
 // --- fault plans ------------------------------------------------------------
@@ -120,6 +111,44 @@ Value corrupt_host_state(CorruptionPattern pattern, ProcessId p, int n,
   if (corrupt.contains("gfd")) host["gfd"] = corrupt.at("gfd");
   if (corrupt.contains("hb")) host["hb"] = corrupt.at("hb");
   return host;
+}
+
+// --- clean-era convergence --------------------------------------------------
+
+CleanEraCheck check_clean_era(const std::vector<DecisionLog>& logs,
+                              std::int64_t clean_from, std::int64_t cutoff) {
+  CleanEraCheck check;
+  if (logs.empty() || cutoff < clean_from) return check;
+  const auto range = [&](const DecisionLog& log) {
+    return std::make_pair(log.lower_bound(clean_from),
+                          log.upper_bound(cutoff));
+  };
+  const auto same_range = [&](const DecisionLog& a, const DecisionLog& b) {
+    const auto [a_begin, a_end] = range(a);
+    const auto [b_begin, b_end] = range(b);
+    return std::equal(a_begin, a_end, b_begin, b_end);
+  };
+  check.converged = true;
+  std::vector<const DecisionLog*> replayed;
+  std::uint64_t reference = 0;
+  for (const DecisionLog& log : logs) {
+    const bool seen =
+        std::any_of(replayed.begin(), replayed.end(),
+                    [&](const DecisionLog* r) { return same_range(*r, log); });
+    if (seen) continue;
+    KvStore store;
+    const auto [begin, end] = range(log);
+    for (auto it = begin; it != end; ++it) store.apply_decision(it->second);
+    const std::uint64_t fp = store.fingerprint();
+    if (replayed.empty()) {
+      reference = fp;
+    } else if (fp != reference) {
+      check.converged = false;
+    }
+    replayed.push_back(&log);
+    ++check.replays;
+  }
+  return check;
 }
 
 // --- construction -----------------------------------------------------------
@@ -240,16 +269,14 @@ void KvService::serve_read(std::int64_t c, const ClientOp& op, Time now) {
     return;
   }
   (void)rs.store.get("k" + std::to_string(op.key));
-  metrics_.observe("svc_read_staleness", staleness,
-                   bounds_for(BoundsFamily::kSimTime));
+  staleness_hist_.observe(staleness);
   ++reads_served_;
 }
 
 void KvService::complete_request(std::int64_t c, std::int64_t seq, Time now) {
   auto it = outstanding_.find(pack_request(c, seq));
   if (it == outstanding_.end()) return;  // duplicate decide or dedup'd apply
-  metrics_.observe("svc_request_latency", now - it->second,
-                   bounds_for(BoundsFamily::kSimTime));
+  latency_hist_.observe(now - it->second);
   outstanding_.erase(it);
   ++requests_completed_;
   if (config_.closed_loop) {
@@ -266,20 +293,22 @@ void KvService::scan_logs(Time now) {
     const auto& log = repeated_view(*sim_, p)->decisions();
     for (; rs.log_consumed < log.size(); ++rs.log_consumed) {
       const AsyncDecision& d = log[rs.log_consumed];
-      rs.pending.emplace(d.instance, std::make_pair(d.value, d.at_time));
       auto [it, inserted] = decided_.try_emplace(
           d.instance, DecidedMeta{d.value, d.at_time, true});
+      bool as_decided = true;
       if (inserted) {
         max_decided_ = std::max(max_decided_, d.instance);
         plane_->on_decided(d.instance);
         const std::int64_t fill = batch_size_of(d.value);
         if (fill > 0) max_cmd_decided_ = std::max(max_cmd_decided_, d.instance);
-        metrics_.observe("svc_batch_fill", fill,
-                         bounds_for(BoundsFamily::kBatchFill));
+        batch_fill_hist_.observe(fill);
       } else {
         it->second.first_time = std::min(it->second.first_time, d.at_time);
-        if (!(it->second.value == d.value)) it->second.agreed = false;
+        as_decided = it->second.value == d.value;
+        if (!as_decided) it->second.agreed = false;
       }
+      rs.pending.emplace(d.instance,
+                         PendingDecision{d.value, d.at_time, as_decided});
     }
   }
 }
@@ -297,8 +326,8 @@ void KvService::apply_decided(Time now) {
     for (auto it = decided_.lower_bound(rs.applied_through);
          it != decided_.end(); ++it) {
       rs.pending.emplace(it->first,
-                         std::make_pair(it->second.value,
-                                        it->second.first_time));
+                         PendingDecision{it->second.value,
+                                         it->second.first_time, true});
     }
     while (!rs.pending.empty()) {
       auto it = rs.pending.begin();
@@ -323,24 +352,40 @@ void KvService::apply_decided(Time now) {
           break;
         }
       }
-      if (config_.apply_delay > 0 &&
-          now < it->second.second + config_.apply_delay) {
+      const PendingDecision& pd = it->second;
+      if (config_.apply_delay > 0 && now < pd.at + config_.apply_delay) {
         break;
       }
-      const Value decision = config_.decision_transform
-                                 ? config_.decision_transform(it->second.first)
-                                 : it->second.first;
-      rs.store.apply_decision(decision);
-      for_each_command(decision, [&](const Value& cmd) {
-        const std::int64_t client = cmd.at("client").int_or(-1);
-        if (client >= 0) complete_request(client, cmd.at("seq").int_or(-1), now);
-      });
+      // The shared decoded batch, unless this replica logged a value other
+      // than decided_'s (or the test hook rewrites decisions): then its own
+      // value is decoded for it alone.
+      DecodedBatch own;
+      const DecodedBatch* batch = &own;
+      if (config_.decision_transform) {
+        own = decode_decision(config_.decision_transform(pd.value));
+      } else if (!pd.as_decided) {
+        own = decode_decision(pd.value);
+      } else {
+        batch = &shared_batch(it->first);
+      }
+      rs.store.apply(*batch);
+      for (const DecodedBatch::Entry& entry : batch->entries) {
+        if (entry.cmd.client >= 0) {
+          complete_request(entry.cmd.client, entry.cmd.seq, now);
+        }
+      }
       rs.applied_through = it->first + 1;
       rs.last_applied_decide_time =
-          std::max(rs.last_applied_decide_time, it->second.second);
+          std::max(rs.last_applied_decide_time, pd.at);
       rs.pending.erase(it);
     }
   }
+}
+
+const DecodedBatch& KvService::shared_batch(std::int64_t instance) {
+  auto [it, inserted] = decoded_.try_emplace(instance);
+  if (inserted) it->second = decode_decision(decided_.at(instance).value);
+  return it->second;
 }
 
 std::int64_t KvService::applied_floor() const {
@@ -382,7 +427,11 @@ void KvService::inject_due_corruptions(Time upto) {
 void KvService::pump(Time now) {
   scan_logs(now);
   apply_decided(now);
-  plane_->set_applied_floor(applied_floor());
+  const std::int64_t floor = applied_floor();
+  plane_->set_applied_floor(floor);
+  // Every live replica has applied through `floor`: its decoded batches
+  // are never applied again.
+  decoded_.erase(decoded_.begin(), decoded_.upper_bound(floor));
   if (max_decided_ >= 0) plane_->reclaim(max_decided_, config_.reclaim_gap);
   issue_client_ops(now);
   metrics_.gauge_max("svc_queue_depth_peak", plane_->pending_depth());
@@ -391,9 +440,8 @@ void KvService::pump(Time now) {
   // unbounded — empty heartbeat instances keep it advancing while the
   // window is closed.)
   if (max_cmd_decided_ >= 0) {
-    metrics_.gauge_max(
-        "svc_cmd_lag_peak",
-        max_cmd_decided_ - std::max<std::int64_t>(applied_floor(), 0));
+    metrics_.gauge_max("svc_cmd_lag_peak",
+                       max_cmd_decided_ - std::max<std::int64_t>(floor, 0));
   }
 }
 
@@ -493,9 +541,9 @@ SvcReport KvService::report() const {
   // Clean-era convergence: re-materialize each survivor's store from its own
   // log restricted to the contiguous clean suffix every survivor knows.
   if (r.clean_from && !survivors.empty()) {
-    std::vector<std::map<std::int64_t, Value>> logs;
+    std::vector<DecisionLog> logs;
     for (ProcessId p : survivors) {
-      std::map<std::int64_t, Value> by_instance;
+      DecisionLog by_instance;
       for (const AsyncDecision& d : repeated_view(*sim_, p)->decisions()) {
         by_instance.emplace(d.instance, d.value);
       }
@@ -507,23 +555,8 @@ SvcReport KvService::report() const {
       while (by_instance.count(c + 1)) ++c;
       cutoff = std::min(cutoff, c);
     }
-    if (cutoff >= *r.clean_from) {
-      r.converged_clean = true;
-      std::optional<std::uint64_t> reference;
-      for (const auto& by_instance : logs) {
-        KvStore store;
-        for (auto it = by_instance.lower_bound(*r.clean_from);
-             it != by_instance.end() && it->first <= cutoff; ++it) {
-          store.apply_decision(it->second);
-        }
-        const std::uint64_t fp = store.fingerprint();
-        if (!reference) {
-          reference = fp;
-        } else if (*reference != fp) {
-          r.converged_clean = false;
-        }
-      }
-    }
+    r.converged_clean =
+        check_clean_era(logs, *r.clean_from, cutoff).converged;
   }
   return r;
 }

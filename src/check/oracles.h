@@ -49,6 +49,13 @@ struct TrialEvaluation {
   std::string describe() const;
 };
 
+// The universal audit alone (evaluate_trial runs it first).  Appends the
+// first way `h` departs from what `plan` licenses and stops there; a history
+// with no such departure instead gets one "audit-faulty" entry per process
+// that manifested a fault without a plan entry, in process order.
+void audit_history(const History& h, const TrialPlan& plan,
+                   std::vector<Violation>& out);
+
 // Evaluates every applicable oracle over the simulator's recorded history.
 // The simulator must have executed exactly plan.rounds rounds of the system
 // the plan describes.

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace ftss {
 
@@ -235,22 +236,25 @@ void record_history_metrics(const History& h, MetricsRegistry& m) {
   std::int64_t suspect_churn = 0;
   const std::vector<std::vector<ProcessId>>* prev_suspects = nullptr;
   const std::vector<bool>* prev_coterie = nullptr;
+  std::int64_t sent = 0, delayed = 0, delivered = 0, send_omission = 0,
+               receive_omission = 0, dest_crashed = 0, in_flight = 0,
+               frame_corrupt = 0;
   for (const RoundRecord& rec : h.rounds) {
+    sent += static_cast<std::int64_t>(rec.sends.size());
     for (const SendRecord& s : rec.sends) {
-      m.add("msgs_sent");
-      if (s.delivery_round != s.sent_round) m.add("msgs_delayed");
+      if (s.delivery_round != s.sent_round) ++delayed;
       if (s.delivered) {
-        m.add("msgs_delivered");
+        ++delivered;
       } else if (s.dropped_by_sender) {
-        m.add("msgs_dropped_send_omission");
+        ++send_omission;
       } else if (s.dropped_by_receiver) {
-        m.add("msgs_dropped_receive_omission");
+        ++receive_omission;
       } else if (s.dest_crashed) {
-        m.add("msgs_dropped_dest_crashed");
+        ++dest_crashed;
       } else if (s.lost_in_flight) {
-        m.add("msgs_in_flight_at_end");
+        ++in_flight;
       } else if (s.frame_corrupted) {
-        m.add("msgs_dropped_frame_corrupt");
+        ++frame_corrupt;
       }
     }
     std::int64_t size = 0;
@@ -270,6 +274,21 @@ void record_history_metrics(const History& h, MetricsRegistry& m) {
       }
       prev_suspects = &rec.suspects;
     }
+  }
+  // A category that never occurred gets no key: the stable fingerprint
+  // covers the key set, not just the values.
+  const std::pair<std::string_view, std::int64_t> msgs[] = {
+      {"msgs_sent", sent},
+      {"msgs_delayed", delayed},
+      {"msgs_delivered", delivered},
+      {"msgs_dropped_send_omission", send_omission},
+      {"msgs_dropped_receive_omission", receive_omission},
+      {"msgs_dropped_dest_crashed", dest_crashed},
+      {"msgs_in_flight_at_end", in_flight},
+      {"msgs_dropped_frame_corrupt", frame_corrupt},
+  };
+  for (const auto& [name, count] : msgs) {
+    if (count > 0) m.add(name, count);
   }
   if (suspect_churn > 0 || prev_suspects != nullptr) {
     m.add("suspect_churn", suspect_churn);

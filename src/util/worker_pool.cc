@@ -24,8 +24,8 @@ struct WorkerPool::Batch {
 };
 
 WorkerPool::WorkerPool(unsigned lanes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (threads_.size() + 1 < std::max(1u, lanes)) spawn_locked();
+  std::unique_lock<std::mutex> lock(mu_);
+  grow_locked(lock, std::max(1u, lanes));
 }
 
 WorkerPool::~WorkerPool() {
@@ -47,12 +47,20 @@ void WorkerPool::ensure_lanes(unsigned lanes) {
   // mid-batch could otherwise register with generation_ == the live batch's
   // and skip it while run_batch counts it as draining.
   std::lock_guard<std::mutex> serialize(post_mu_);
-  std::lock_guard<std::mutex> lock(mu_);
-  while (threads_.size() + 1 < lanes) spawn_locked();
+  std::unique_lock<std::mutex> lock(mu_);
+  grow_locked(lock, lanes);
 }
 
-void WorkerPool::spawn_locked() {
-  threads_.emplace_back([this] { worker_main(); });
+// Returns only once every spawned worker has registered.  A worker still
+// starting up when the next batch is posted adopts that batch's generation
+// and sits it out, so a sweep posted as one batch right after construction
+// (explore() on a fresh shared pool) would run on the caller alone.
+void WorkerPool::grow_locked(std::unique_lock<std::mutex>& lock,
+                             unsigned lanes) {
+  while (threads_.size() + 1 < lanes) {
+    threads_.emplace_back([this] { worker_main(); });
+  }
+  done_cv_.wait(lock, [&] { return registered_ == threads_.size(); });
 }
 
 bool WorkerPool::on_pool_thread() { return tl_on_pool_thread; }
@@ -82,6 +90,7 @@ void WorkerPool::worker_main() {
   // for the next batch, exactly matching not having been counted.
   std::uint64_t seen = generation_;
   ++registered_;
+  done_cv_.notify_all();
   for (;;) {
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;

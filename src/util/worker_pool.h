@@ -94,11 +94,11 @@ class WorkerPool {
   // Claim loop over a batch's task indices (caller and workers alike).
   static void execute(Batch& batch);
   void worker_main();
-  void spawn_locked();
+  void grow_locked(std::unique_lock<std::mutex>& lock, unsigned lanes);
 
   mutable std::mutex mu_;  // guards everything below
   std::condition_variable work_cv_;  // workers: "a new batch is posted"
-  std::condition_variable done_cv_;  // run_batch: "all workers drained"
+  std::condition_variable done_cv_;  // "all workers drained/registered"
   std::vector<std::thread> threads_;
   Batch* batch_ = nullptr;           // non-null while a batch is posted
   std::uint64_t generation_ = 0;     // bumped per batch; workers track it

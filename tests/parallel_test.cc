@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -139,6 +143,32 @@ TEST(WorkerPool, RunTasksInvokesEachTaskExactlyOnce) {
       EXPECT_EQ(hits[t].load(), 1) << "tasks=" << tasks << " t=" << t;
     }
   }
+}
+
+// Every lane of a pool (fresh or just grown) takes part in the very first
+// batch: each task holds its lane until all four tasks are running at once.
+// A lane whose thread had not started yet would leave the others waiting
+// out the deadline and the count short.
+TEST(WorkerPool, FirstBatchRunsOnEveryLane) {
+  auto concurrent_tasks = [](WorkerPool& pool) {
+    std::mutex mu;
+    std::condition_variable cv;
+    int running = 0;
+    int peak = 0;
+    pool.run_tasks(4, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      peak = std::max(peak, ++running);
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(2), [&] { return peak == 4; });
+      --running;
+    });
+    return peak;
+  };
+  WorkerPool fresh(4);
+  EXPECT_EQ(concurrent_tasks(fresh), 4);
+  WorkerPool grown(1);
+  grown.ensure_lanes(4);
+  EXPECT_EQ(concurrent_tasks(grown), 4);
 }
 
 TEST(WorkerPool, EnsureLanesGrowsAndNeverShrinks) {

@@ -253,6 +253,63 @@ BENCHMARK(BM_ScaledRoundsLarge)
     ->MeasureProcessCPUTime()
     ->Iterations(1);
 
+// BM_ScaledRounds under perfbench rounds-1024's fault mix: 128 corrupted
+// clocks, 8 send-omission windows and 8 receive-omission rules at p = 0.3
+// (args: n, rounds, threads).  Any omission rule used to send a round from
+// the broadcast plane to the per-message streaming path; this is the
+// committed baseline for the plane's fate pass and filtered inboxes.
+void BM_ScaledRoundsOmission(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int rounds = static_cast<int>(state.range(1));
+  const auto threads = static_cast<unsigned>(state.range(2));
+  constexpr int kCorruptClocks = 128;
+  constexpr int kFaulty = 16;
+  Rng rng(1);
+  const std::vector<int> picked = rng.sample(n, kCorruptClocks + kFaulty);
+  std::vector<Round> clocks;
+  for (int i = 0; i < kCorruptClocks; ++i) {
+    clocks.push_back(rng.uniform(-1'000'000, 1'000'000));
+  }
+  std::vector<FaultPlan> plans;
+  for (int i = 0; i < kFaulty; ++i) {
+    const Round from = rng.uniform(1, rounds / 2);
+    const Round to = from + rng.uniform(1, rounds / 2);
+    FaultPlan plan;
+    if (i % 2 == 0) {
+      plan.send_omissions.push_back(
+          OmissionRule{.from_round = from, .to_round = to});
+    } else {
+      plan.receive_omissions.push_back(OmissionRule{
+          .from_round = from, .to_round = to, .probability = 0.3});
+    }
+    plans.push_back(std::move(plan));
+  }
+  for (auto _ : state) {
+    SyncSimulator sim(SyncConfig{.seed = 1,
+                                 .record_states = false,
+                                 .record_sends = false,
+                                 .threads = threads},
+                      system_of(n));
+    for (int i = 0; i < kCorruptClocks; ++i) {
+      sim.corrupt_state(picked[i], clock_state(clocks[i]));
+    }
+    for (int i = 0; i < kFaulty; ++i) {
+      sim.set_fault_plan(picked[kCorruptClocks + i], plans[i]);
+    }
+    sim.run_rounds(rounds);
+    benchmark::DoNotOptimize(sim.history().length());
+  }
+  state.SetItemsProcessed(state.iterations() * rounds);
+  state.counters["msgs_per_round"] =
+      benchmark::Counter(static_cast<double>(n) * n);
+}
+BENCHMARK(BM_ScaledRoundsOmission)
+    ->Args({1024, 20, 1})
+    ->Args({1024, 20, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
+
 void BM_FtssCheck(benchmark::State& state) {
   SyncSimulator sim(SyncConfig{.seed = 1, .record_states = false},
                     system_of(16));

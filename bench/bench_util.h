@@ -8,23 +8,84 @@
 //
 // Machine-readable output: every bench accepts `--json PATH` and then also
 // writes a BENCH_*.json document (schema "ftss-bench-v1") containing the
-// printed tables, pass/fail checks, optional metrics, and per-benchmark
-// timings — the perf-trajectory record compared across PRs.  Wire-up per
-// binary is three lines: construct a JsonEmitter before printing tables,
-// run benchmarks through it, return finish().
+// printed tables, pass/fail checks, optional metrics, per-benchmark timings
+// and the host they were measured on — the perf-trajectory record compared
+// across PRs.  Wire-up per binary is three lines: construct a JsonEmitter
+// before printing tables, run benchmarks through it, return finish().
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
+#include "util/process_set.h"
 #include "util/value.h"
 
+// Set by bench/CMakeLists.txt from the configured toolchain.
+#ifndef FTSS_BENCH_COMPILER
+#define FTSS_BENCH_COMPILER "unknown"
+#endif
+#ifndef FTSS_BENCH_BUILD_TYPE
+#define FTSS_BENCH_BUILD_TYPE "unknown"
+#endif
+
 namespace ftss::bench {
+
+// CPU brand string from CPUID leaves 0x80000002..4 ("unknown" elsewhere).
+inline std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned regs[12] = {};
+  if (__get_cpuid_max(0x80000000, nullptr) >= 0x80000004) {
+    for (unsigned i = 0; i < 3; ++i) {
+      __get_cpuid(0x80000002 + i, &regs[4 * i], &regs[4 * i + 1],
+                  &regs[4 * i + 2], &regs[4 * i + 3]);
+    }
+    std::string model(reinterpret_cast<const char*>(regs), sizeof regs);
+    model = model.c_str();  // stop at the first NUL
+    const auto first = model.find_first_not_of(' ');
+    if (first != std::string::npos) return model.substr(first);
+  }
+#endif
+  return "unknown";
+}
+
+// CPUs this process may run on (the affinity mask, which is what a
+// containerized run actually gets), falling back to the hardware count.
+inline int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) return CPU_COUNT(&set);
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+// The host a bench document was measured on.  Timings from two documents
+// are comparable only when their host blocks match; compare_bench.py
+// prints both and flags a difference.
+inline Value host_stamp() {
+  const char* flight = std::getenv("FTSS_FLIGHT");
+  Value h;
+  h["nproc"] = Value(static_cast<std::int64_t>(usable_cpus()));
+  h["cpu_model"] = Value(cpu_model());
+  h["compiler"] = Value(FTSS_BENCH_COMPILER);
+  h["compiler_version"] = Value(__VERSION__);
+  h["build_type"] = Value(FTSS_BENCH_BUILD_TYPE);
+  h["avx2_compiled"] = Value(FTSS_PS_HAVE_AVX2 != 0);
+  h["avx2_dispatch"] = Value(static_cast<bool>(ftss::detail::kPsUseAvx2));
+  h["FTSS_FLIGHT"] = Value(flight != nullptr ? flight : "unset");
+  return h;
+}
 
 class JsonEmitter;
 inline JsonEmitter*& active_emitter() {
@@ -157,6 +218,7 @@ class JsonEmitter {
     Value doc;
     doc["schema"] = Value("ftss-bench-v1");
     doc["bench"] = Value(name_);
+    doc["host"] = host_stamp();
     doc["tables"] = Value(std::move(tables_));
     doc["checks"] = Value(std::move(checks_));
     if (!metrics_.is_null()) doc["metrics"] = std::move(metrics_);

@@ -32,6 +32,10 @@ filtered subsets); pass --all-benchmarks for full runs (e.g. the nightly
 grid) to make those removals fail too.  Counters whose name
 marks them as wall-clock (.._ns, .._ns_p50/p99) get the wide time tolerance;
 the tight counter tolerance is reserved for deterministic work counters.
+Before its timing deltas each file's section prints both documents' host
+blocks (nproc, CPU model, compiler, build type, AVX2, FTSS_FLIGHT) and a
+HOST DIFFERS line when they differ or one is missing, so a delta between
+two hosts reads as such; it does not change what passes or fails.
 Exit status is 1 if any regression or hard removal was found, else 0.  CI
 wires the perf deltas in as a non-blocking report (shared runners are
 noisy, so a red compare is a prompt to look at the numbers, not a merge
@@ -67,11 +71,35 @@ def is_rate_counter(name):
 
 
 def load(path):
+    """Returns (host block or None, {benchmark name: timing row})."""
     with open(path) as f:
         data = json.load(f)
     if data.get("schema") != "ftss-bench-v1":
         raise SystemExit(f"{path}: unsupported schema {data.get('schema')!r}")
-    return {t["name"]: t for t in data.get("timings", [])}
+    return (data.get("host"),
+            {t["name"]: t for t in data.get("timings", [])})
+
+
+def format_host(host):
+    if host is None:
+        return "(not recorded)"
+    return " ".join(f"{k}={host[k]}" for k in sorted(host))
+
+
+def print_hosts(base_host, fresh_host):
+    """Both host blocks, then HOST DIFFERS when timings compare two hosts
+    (or a document that does not say which host it came from)."""
+    print(f"  host baseline:  {format_host(base_host)}")
+    print(f"  host candidate: {format_host(fresh_host)}")
+    if base_host is None or fresh_host is None:
+        print("  HOST DIFFERS: a document has no host stamp; timing deltas "
+              "may compare different hosts")
+    elif base_host != fresh_host:
+        keys = sorted(set(base_host) | set(fresh_host))
+        diffs = ", ".join(f"{k} {base_host.get(k)!r} -> {fresh_host.get(k)!r}"
+                          for k in keys
+                          if base_host.get(k) != fresh_host.get(k))
+        print(f"  HOST DIFFERS: {diffs}")
 
 
 def compare_metric(name, metric, base, fresh, tolerance, rows):
@@ -85,8 +113,8 @@ def compare_metric(name, metric, base, fresh, tolerance, rows):
 
 def compare_files(baseline_path, fresh_path, tolerance, all_benchmarks=False,
                   structural=False):
-    baseline = load(baseline_path)
-    fresh = load(fresh_path)
+    base_host, baseline = load(baseline_path)
+    fresh_host, fresh = load(fresh_path)
     rows = []
     new_counters = []
     removed_counters = []
@@ -138,6 +166,7 @@ def compare_files(baseline_path, fresh_path, tolerance, all_benchmarks=False,
         print(f"\n== {os.path.basename(baseline_path)} "
               f"(tolerance {tolerance:.0%} time, "
               f"{COUNTER_TOLERANCE:.0%} counters)")
+        print_hosts(base_host, fresh_host)
         if not rows:
             print("  no overlapping benchmarks")
     width = max((len(r[0]) for r in rows), default=0)

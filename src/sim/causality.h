@@ -67,11 +67,6 @@ class CausalityTracker {
     }
   }
 
-  // Is q's influence set already the whole universe?  Further deliveries to
-  // q are no-ops; the simulator's fast path uses this to skip whole
-  // delivery loops once the closure has saturated.
-  bool saturated(ProcessId q) const { return full_.contains(q); }
-
   // --- Lane API for the parallel round engine ----------------------------
   //
   // Each engine lane owns a contiguous range of destinations; during a
@@ -100,9 +95,11 @@ class CausalityTracker {
       if (influence_[dest].count() == n_) lane.full.insert(dest);
     }
   }
-  // saturated(), seen through a lane: accounts for fullness reached by this
-  // lane's own deliveries earlier in the round (pre-merge).  Only valid for
-  // destinations the lane owns.
+  // Is q's influence set already the whole universe, counting fullness
+  // reached by this lane's own deliveries earlier in the round (pre-merge)?
+  // Further deliveries to q are no-ops; the simulator's broadcast plane
+  // uses this to skip closure updates once q has saturated.  Only valid
+  // for destinations the lane owns.
   bool saturated_lane(ProcessId q, const Lane& lane) const {
     return full_.contains(q) || lane.full.contains(q);
   }

@@ -80,32 +80,30 @@ class SyncSimulator::OutboxImpl : public Outbox {
   std::vector<Message>* sink_;
 };
 
-// Fast-path outbox for rounds where every message is statically known to be
-// delivered this round (no faults manifestable, no jitter, nothing recorded
-// or traced): sends are collected into the shared round log — a broadcast
-// as ONE entry, not n fanned-out messages — and delivered after the
-// collection phase, skipping the per-message fault checks and SendRecord
-// plumbing entirely.  Deferring delivery to the end of the send phase is
-// unobservable: send-time influence snapshots are pinned for the whole
-// round by begin_round, and process code cannot read deliveries until its
-// end_round runs.
-class SyncSimulator::FastOutboxImpl : public Outbox {
+// Broadcast-plane outbox: sends are collected into the round log — a
+// broadcast as ONE entry, not n fanned-out messages — and their fates are
+// resolved after the collection phase.  Deferring fate and delivery to the
+// end of the send phase is unobservable: send-time influence snapshots are
+// pinned for the whole round by begin_round, process code draws no
+// simulator randomness and reads no fault state, and it cannot read
+// deliveries until its end_round runs.
+class SyncSimulator::PlaneOutboxImpl : public Outbox {
  public:
   // The sink is a parameter (rather than the simulator's shared log) so the
   // parallel engine can hand each collection lane a private log; the serial
-  // path passes &fast_log_ directly.
-  FastOutboxImpl(ProcessId self, int n, std::vector<FastSend>* sink)
+  // path passes &plane_log_ directly.
+  PlaneOutboxImpl(ProcessId self, int n, std::vector<PlaneSend>* sink)
       : self_(self), n_(n), sink_(sink) {}
 
   void send(ProcessId to, Value payload) override {
     if (to < 0 || to >= n_) {
       throw std::out_of_range("Outbox::send: bad destination");
     }
-    sink_->push_back(FastSend{self_, to, std::move(payload)});
+    sink_->push_back(PlaneSend{self_, to, std::move(payload)});
   }
 
   void broadcast(Value payload) override {
-    sink_->push_back(FastSend{self_, kBroadcastDest, std::move(payload)});
+    sink_->push_back(PlaneSend{self_, kBroadcastDest, std::move(payload)});
   }
 
   int process_count() const override { return n_; }
@@ -113,7 +111,7 @@ class SyncSimulator::FastOutboxImpl : public Outbox {
  private:
   ProcessId self_;
   int n_;
-  std::vector<FastSend>* sink_;
+  std::vector<PlaneSend>* sink_;
 };
 
 SyncSimulator::SyncSimulator(SyncConfig config,
@@ -128,6 +126,7 @@ SyncSimulator::SyncSimulator(SyncConfig config,
                            std::max(0, config.max_extra_delay)) +
                        1),
       inbox_(processes_.size()),
+      plane_union_(static_cast<int>(processes_.size())),
       correct_(static_cast<int>(processes_.size())),
       last_suspects_(processes_.size(),
                      ProcessSet(static_cast<int>(processes_.size()))) {
@@ -144,12 +143,12 @@ SyncSimulator::SyncSimulator(SyncConfig config,
   const unsigned cap = static_cast<unsigned>(std::min<std::size_t>(
       std::max<std::size_t>(1, processes_.size()), 255));
   lanes_ = std::max(1u, std::min(wanted, cap));
+  engine_lanes_.reserve(lanes_);
+  for (unsigned l = 0; l < lanes_; ++l) {
+    engine_lanes_.emplace_back();
+    engine_lanes_.back().causality = causality_.make_lane();
+  }
   if (lanes_ > 1) {
-    engine_lanes_.reserve(lanes_);
-    for (unsigned l = 0; l < lanes_; ++l) {
-      engine_lanes_.emplace_back();
-      engine_lanes_.back().causality = causality_.make_lane();
-    }
     dest_lane_.resize(processes_.size());
     for (unsigned l = 0; l < lanes_; ++l) {
       const auto [lo, hi] = WorkerPool::split(processes_.size(), lanes_, l);
@@ -213,14 +212,6 @@ bool SyncSimulator::crashed(ProcessId p) const {
   return plans_[p].crash_at && round_ >= *plans_[p].crash_at;
 }
 
-ProcessSet SyncSimulator::planned_faulty() const {
-  ProcessSet f(process_count());
-  for (std::size_t p = 0; p < plans_.size(); ++p) {
-    if (!plans_[p].empty()) f.insert(static_cast<int>(p));
-  }
-  return f;
-}
-
 bool SyncSimulator::send_dropped(ProcessId s, ProcessId d, Round r) {
   if (s == d) return false;  // own broadcast is always received (footnote 1)
   for (const auto& rule : plans_[s].send_omissions) {
@@ -239,6 +230,115 @@ bool SyncSimulator::receive_dropped(ProcessId s, ProcessId d, Round r) {
     }
   }
   return false;
+}
+
+std::uint8_t SyncSimulator::fate(ProcessId s, ProcessId q, Round r,
+                                 const std::vector<bool>& alive) {
+  if (has_send_rules_[s] && send_dropped(s, q, r)) {
+    mark_faulty(s, r, "send-omission");
+    return kFateSendDropped;
+  }
+  if (!alive[q]) return kFateDestCrashed;
+  if (has_recv_rules_[q] && receive_dropped(s, q, r)) {
+    mark_faulty(q, r, "receive-omission");
+    return kFateRecvDropped;
+  }
+  return kFateDelivered;
+}
+
+// Walks the log in sender-major emission order — the order the streaming
+// path resolves the fanned-out messages in — but visits only the pairs whose
+// fate can differ from "delivered or dest crashed" without drawing: every
+// destination of a sender with send rules, and the live destinations with
+// receive rules otherwise.  So every RNG draw and fault manifestation lands
+// exactly as the streaming path's would.
+void SyncSimulator::plane_fate_pass(Round r, const std::vector<bool>& alive) {
+  const int n = process_count();
+  const auto live = static_cast<std::size_t>(
+      std::count(alive.begin(), alive.end(), true));
+  plane_shared_drop_.assign(plane_log_.size(), 0);
+  plane_filtered_.assign(static_cast<std::size_t>(n), 0);
+  plane_drops_.clear();
+  for (std::size_t i = 0; i < plane_log_.size(); ++i) {
+    const ProcessId s = plane_log_[i].sender;
+    const std::size_t mark = plane_drops_.size();
+    const auto visit = [&](ProcessId q) {
+      const std::uint8_t f = fate(s, q, r, alive);
+      if (f == kFateRecvDropped || (f == kFateSendDropped && alive[q])) {
+        plane_drops_.emplace_back(q, static_cast<std::uint32_t>(i));
+      }
+    };
+    if (has_send_rules_[s]) {
+      for (ProcessId q = 0; q < n; ++q) visit(q);
+    } else {
+      for (const ProcessId q : recv_rule_procs_) {
+        if (alive[q]) visit(q);
+      }
+    }
+    // A broadcast no live remote process receives (a send-omission window,
+    // mute, hide_until) leaves the shared inbox instead of filtering every
+    // destination; its sender still receives it (footnote 1).
+    const std::size_t dropped = plane_drops_.size() - mark;
+    if (dropped > 0 && dropped + 1 == live) {
+      plane_drops_.resize(mark);
+      plane_shared_drop_[i] = 1;
+      plane_filtered_[s] = 1;
+    }
+  }
+  for (const auto& [q, i] : plane_drops_) plane_filtered_[q] = 1;
+  std::sort(plane_drops_.begin(), plane_drops_.end());
+}
+
+void SyncSimulator::plane_deliver(std::size_t lo, std::size_t hi,
+                                  const std::vector<bool>& alive,
+                                  std::vector<Message>& shared,
+                                  EngineLane& lane) {
+  auto drop = std::lower_bound(
+      plane_drops_.begin(), plane_drops_.end(),
+      std::pair<ProcessId, std::uint32_t>{static_cast<ProcessId>(lo), 0});
+  for (std::size_t qi = lo; qi < hi; ++qi) {
+    const ProcessId q = static_cast<ProcessId>(qi);
+    if (!alive[q]) continue;  // a crashed process receives nothing
+    std::vector<Message>* in = &shared;
+    if (plane_filtered_[q]) {
+      // Rebuild q's inbox from the log: the shared entries minus q's own
+      // drops, plus q's own broadcasts that left the shared inbox.
+      lane.filtered_inbox.clear();
+      for (std::size_t i = 0; i < plane_log_.size(); ++i) {
+        if (drop != plane_drops_.end() && drop->first == q &&
+            drop->second == i) {
+          ++drop;
+          continue;
+        }
+        const PlaneSend& e = plane_log_[i];
+        if (plane_shared_drop_[i] && e.sender != q) continue;
+        lane.filtered_inbox.push_back(Message{e.sender, q, e.payload});
+      }
+      in = &lane.filtered_inbox;
+    } else {
+      for (Message& m : shared) m.dest = q;
+    }
+    // Within a round the closure unions commute (send snapshots are pinned
+    // by begin_round), so destination-major delivery leaves influence_, and
+    // therefore every later observable, unchanged — and a destination that
+    // receives the shared inbox gains exactly plane_union_, in one union
+    // instead of one per message.  A destination's saturation within the
+    // round can only come from deliveries to it, all of which this lane
+    // performs.
+    if (!causality_.saturated_lane(q, lane.causality)) {
+      if (in == &shared) {
+        causality_.deliver_snapshot_lane(plane_union_, q, lane.causality);
+      } else {
+        for (const Message& m : *in) {
+          causality_.deliver_snapshot_lane(causality_.send_snapshot(m.sender),
+                                           q, lane.causality);
+        }
+      }
+    }
+    // A halted process still has its deliveries counted by the closure but
+    // takes no transition, exactly as the receive phase treats it.
+    if (!processes_[q]->halted()) processes_[q]->end_round(*in);
+  }
 }
 
 void SyncSimulator::run_rounds(int k) {
@@ -276,7 +376,7 @@ void SyncSimulator::run_rounds_impl(int k) {
     for (int p = 0; p < n; ++p) {
       has_send_rules_[p] = !plans_[p].send_omissions.empty();
       has_recv_rules_[p] = !plans_[p].receive_omissions.empty();
-      any_rules_ = any_rules_ || has_send_rules_[p] || has_recv_rules_[p];
+      if (has_recv_rules_[p]) recv_rule_procs_.push_back(p);
     }
   }
 
@@ -429,142 +529,102 @@ void SyncSimulator::run_rounds_impl(int k) {
       due.used = 0;  // entries stay constructed; re-arming recycles them
     }
 
-    // Can this round take the everything-delivers fast path?  Requires: no
-    // recording or tracing (nothing to emit per message), zero jitter with
-    // nothing in flight (every send resolves now), no omission rules in any
-    // plan (no drops, no RNG draws), and every process alive and unhalted
-    // at round start (the only liveness facts the send/resolve path reads).
-    // Under those facts the slow path below delivers every message in the
-    // identical sender-then-destination order with zero side channels, so
-    // the fast path is behavior-identical by construction.
-    bool fast_round = false;
+    // Does this round take the broadcast plane?  Every untraced, unrecorded
+    // round with zero jitter does: there is nothing to emit per message,
+    // every send resolves now (nothing is ever in flight), and the fate
+    // pass replays the streaming path's draws exactly, so the plane is
+    // behavior-identical by construction.  Omission rules, crashes and
+    // halts only change which inboxes the plane has to filter.
+    bool plane = false;
     if constexpr (!kTraced && !kRecordSends) {
-      if (config_.max_extra_delay == 0 && in_flight_count_ == 0 &&
-          !any_rules_) {
-        fast_round = true;
-        for (ProcessId p = 0; p < n; ++p) {
-          if (!rec.alive[p] || rec.halted[p]) {
-            fast_round = false;
-            break;
-          }
-        }
-      }
+      plane = config_.max_extra_delay == 0;
     }
 
-    bool fast_delivered = false;
-    if (fast_round) {
-      // Collection: each sender logs its traffic (broadcasts stored once).
-      fast_log_.clear();
+    bool plane_delivered = false;
+    if (plane) {
+      // Collection: each live, unhalted sender logs its traffic
+      // (broadcasts stored once).
+      plane_log_.clear();
+      const auto collect = [&](std::size_t lo, std::size_t hi,
+                               std::vector<PlaneSend>* log) {
+        for (std::size_t p = lo; p < hi; ++p) {
+          if (!rec.alive[p] || processes_[p]->halted()) continue;
+          PlaneOutboxImpl out(static_cast<ProcessId>(p), n, log);
+          processes_[p]->begin_round(out);
+        }
+      };
       if (par) {
         // Lanes collect contiguous sender ranges into private logs;
         // concatenating in lane order reproduces the serial id-ascending
         // log exactly (each lane walks its own range in id order).
         run_lanes([&](std::size_t lane) {
           EngineLane& el = engine_lanes_[lane];
-          el.fast_log.clear();
+          el.plane_log.clear();
           const auto [lo, hi] =
               WorkerPool::split(static_cast<std::size_t>(n), lanes_, lane);
-          for (std::size_t p = lo; p < hi; ++p) {
-            FastOutboxImpl out(static_cast<ProcessId>(p), n, &el.fast_log);
-            processes_[p]->begin_round(out);
-          }
+          collect(lo, hi, &el.plane_log);
         });
         for (EngineLane& el : engine_lanes_) {
-          for (FastSend& e : el.fast_log) fast_log_.push_back(std::move(e));
-          el.fast_log.clear();
+          for (PlaneSend& e : el.plane_log) plane_log_.push_back(std::move(e));
+          el.plane_log.clear();
         }
       } else {
-        for (ProcessId p = 0; p < n; ++p) {
-          FastOutboxImpl out(p, n, &fast_log_);
-          processes_[p]->begin_round(out);
-        }
+        collect(0, static_cast<std::size_t>(n), &plane_log_);
       }
-      bool broadcast_only = true;
-      for (const FastSend& e : fast_log_) {
-        if (e.dest != kBroadcastDest) {
-          broadcast_only = false;
-          break;
-        }
-      }
+      const bool broadcast_only = std::all_of(
+          plane_log_.begin(), plane_log_.end(),
+          [](const PlaneSend& e) { return e.dest == kBroadcastDest; });
       if (broadcast_only) {
-        // Destination-major delivery: every destination receives the same
-        // sender-ascending broadcast sequence, so ONE n-sized scratch
-        // inbox serves all n transitions — only the 4-byte dest field is
-        // retargeted per destination, keeping the delivery working set
-        // cache-resident instead of materializing n^2 Messages.  Within a
-        // round the closure unions commute (send snapshots are pinned by
-        // begin_round), so dest-major instead of sender-major delivery
-        // leaves influence_, and therefore every later observable,
-        // unchanged.
-        fast_inbox_.clear();
-        for (FastSend& e : fast_log_) {
-          fast_inbox_.push_back(Message{e.sender, 0, std::move(e.payload)});
+        // Every destination receives the same sender-ascending broadcast
+        // sequence minus its drops, so ONE n-sized scratch inbox serves
+        // every destination whose drops are the round's shared ones —
+        // only the 4-byte dest field is retargeted per destination,
+        // keeping the delivery working set cache-resident instead of
+        // materializing n^2 Messages.
+        plane_fate_pass(r, rec.alive);
+        plane_inbox_.clear();
+        plane_union_.clear();
+        for (std::size_t i = 0; i < plane_log_.size(); ++i) {
+          if (plane_shared_drop_[i]) continue;
+          const ProcessId s = plane_log_[i].sender;
+          plane_inbox_.push_back(Message{s, 0, plane_log_[i].payload});
+          plane_union_ |= causality_.send_snapshot(s);
         }
         if (par) {
           // Destination-partitioned delivery: each lane takes a private
           // copy of the scratch inbox (COW payloads — refcount bumps, not
-          // deep copies) because the dest field is retargeted per
-          // destination and cannot be shared across lanes.  Closure
-          // updates go through the lane-local API; a destination's
-          // saturation within the round can only come from deliveries to
-          // it, all of which this lane performs, so saturated_lane sees
-          // exactly what the serial loop's saturated() would.
+          // deep copies) because the dest field is retargeted.
           run_lanes([&](std::size_t lane) {
             EngineLane& el = engine_lanes_[lane];
-            el.fast_inbox = fast_inbox_;
+            el.plane_inbox = plane_inbox_;
             const auto [lo, hi] =
                 WorkerPool::split(static_cast<std::size_t>(n), lanes_, lane);
-            for (std::size_t qi = lo; qi < hi; ++qi) {
-              const ProcessId q = static_cast<ProcessId>(qi);
-              for (Message& m : el.fast_inbox) m.dest = q;
-              if (!causality_.saturated_lane(q, el.causality)) {
-                for (const Message& m : el.fast_inbox) {
-                  causality_.deliver_snapshot_lane(
-                      causality_.send_snapshot(m.sender), q, el.causality);
-                }
-              }
-              if (!processes_[q]->halted()) {
-                processes_[q]->end_round(el.fast_inbox);
-              }
-            }
+            plane_deliver(lo, hi, rec.alive, el.plane_inbox, el);
           });
         } else {
-          for (ProcessId q = 0; q < n; ++q) {
-            for (Message& m : fast_inbox_) m.dest = q;
-            if (!causality_.saturated(q)) {
-              for (const Message& m : fast_inbox_) {
-                causality_.deliver_snapshot(causality_.send_snapshot(m.sender),
-                                            q);
-              }
-            }
-            // A process that halted during its own begin_round still gets
-            // its deliveries counted by the closure but takes no
-            // transition, exactly as the receive phase below would treat
-            // it.
-            if (!processes_[q]->halted()) {
-              processes_[q]->end_round(fast_inbox_);
-            }
-          }
+          plane_deliver(0, static_cast<std::size_t>(n), rec.alive,
+                        plane_inbox_, engine_lanes_[0]);
         }
-        fast_delivered = true;
+        plane_delivered = true;
       } else {
-        // Mixed targeted sends: replay the log in send order, streaming
-        // each delivery into the per-destination inboxes; the receive
-        // phase below runs as usual.
-        for (FastSend& e : fast_log_) {
+        // Mixed targeted sends: resolve the log in send order through the
+        // same fate function, streaming each delivery into the
+        // per-destination inboxes; the receive phase below runs as usual.
+        for (const PlaneSend& e : plane_log_) {
           const ProcessSet& snap = causality_.send_snapshot(e.sender);
+          const auto deliver = [&](ProcessId q) {
+            if (fate(e.sender, q, r, rec.alive) != kFateDelivered) return;
+            causality_.deliver_snapshot(snap, q);
+            inbox_[q].push_back(Message{e.sender, q, e.payload});
+          };
           if (e.dest == kBroadcastDest) {
-            for (ProcessId q = 0; q < n; ++q) {
-              causality_.deliver_snapshot(snap, q);
-              inbox_[q].push_back(Message{e.sender, q, e.payload});
-            }
+            for (ProcessId q = 0; q < n; ++q) deliver(q);
           } else {
-            causality_.deliver_snapshot(snap, e.dest);
-            inbox_[e.dest].push_back(
-                Message{e.sender, e.dest, std::move(e.payload)});
+            deliver(e.dest);
           }
         }
       }
+      plane_log_.clear();
     } else if (par) {
       // Send phase, parallel: senders are processed in blocks, bounding the
       // collected scratch at O(block * n) messages (the serial streaming
@@ -762,11 +822,11 @@ void SyncSimulator::run_rounds_impl(int k) {
     }
 
     // Receive/transition phase (already folded into the destination-major
-    // loop on a fast broadcast-only round).  The parallel arm partitions
+    // loop on a broadcast-only plane round).  The parallel arm partitions
     // destinations by lane and mirrors the serial loop exactly; every
     // inbox was filled identically (drain order, then block order), so
     // each transition sees the same message sequence either way.
-    if (par && !fast_delivered) {
+    if (par && !plane_delivered) {
       run_lanes([&](std::size_t lane) {
         const auto [lo, hi] =
             WorkerPool::split(static_cast<std::size_t>(n), lanes_, lane);
@@ -790,7 +850,7 @@ void SyncSimulator::run_rounds_impl(int k) {
         }
       });
     } else {
-      for (ProcessId p = 0; !fast_delivered && p < n; ++p) {
+      for (ProcessId p = 0; !plane_delivered && p < n; ++p) {
         auto& in = inbox_[p];
         if (!rec.alive[p] || processes_[p]->halted()) {
           in.clear();
@@ -816,11 +876,7 @@ void SyncSimulator::run_rounds_impl(int k) {
     // Fold lane-local causality staleness back into the shared bookkeeping
     // (fixed lane order; unions commute, so merge order is immaterial)
     // before the coterie reads it and the next begin_round consumes it.
-    if (par) {
-      for (EngineLane& el : engine_lanes_) {
-        causality_.merge_lane(el.causality);
-      }
-    }
+    for (EngineLane& el : engine_lanes_) causality_.merge_lane(el.causality);
 
     // Post-transition observations: adopted round variables and Π⁺
     // suspect-set deltas.

@@ -106,26 +106,23 @@ class SyncSimulator {
   const SyncProcess& process(ProcessId p) const { return *processes_.at(p); }
 
   bool crashed(ProcessId p) const;
-  // Fault plans that *will* deviate at some point, i.e. F(H,Π) for the
-  // infinite extension of this execution.
-  ProcessSet planned_faulty() const;
 
  private:
   class OutboxImpl;
-  class FastOutboxImpl;
+  class PlaneOutboxImpl;
 
   bool send_dropped(ProcessId s, ProcessId d, Round r);
   bool receive_dropped(ProcessId s, ProcessId d, Round r);
 
-  // One fast-path send-phase log entry: a broadcast is stored once (dest =
-  // kBroadcastDest) instead of being fanned out into n Messages at collect
-  // time.  At n = 10^3+ the fan-out itself is the bottleneck — n^2 Message
-  // constructions scattered over n growing inboxes is tens of MB of
-  // cache-hostile traffic per round — so the fast path keeps the log
-  // n-sized and delivers destination-major through one shared scratch
-  // inbox that stays cache-resident.
+  // One broadcast-plane send-phase log entry: a broadcast is stored once
+  // (dest = kBroadcastDest) instead of being fanned out into n Messages at
+  // collect time.  At n = 10^3+ the fan-out itself is the bottleneck — n^2
+  // Message constructions scattered over n growing inboxes is tens of MB of
+  // cache-hostile traffic per round — so the plane keeps the log n-sized
+  // and delivers destination-major through one shared scratch inbox that
+  // stays cache-resident.
   static constexpr ProcessId kBroadcastDest = -1;
-  struct FastSend {
+  struct PlaneSend {
     ProcessId sender = 0;
     ProcessId dest = kBroadcastDest;
     Value payload;
@@ -160,18 +157,45 @@ class SyncSimulator {
   template <bool kTraced, bool kRecordSends>
   void run_rounds_impl(int k);
 
+  // --- Broadcast plane -----------------------------------------------------
+  //
+  // Every untraced, unrecorded, jitter-free round: senders log their
+  // traffic (broadcasts once), a serial fate pass draws randomness only for
+  // the (sender, dest) pairs an omission rule can touch, and delivery runs
+  // destination-major through one shared scratch inbox.  Serial and
+  // parallel rounds run the same phases; lanes_ > 1 splits collection by
+  // sender range and delivery by destination range.
+
+  // Fate of one zero-delay message s -> q sent in round r, with exactly the
+  // RNG draws and fault manifestations the streaming path makes for it
+  // (send omission, then dest crash, then receive omission).
+  std::uint8_t fate(ProcessId s, ProcessId q, Round r,
+                    const std::vector<bool>& alive);
+  // Serial fate pass over a broadcast-only plane_log_: fills
+  // plane_shared_drop_, plane_drops_ and plane_filtered_.
+  void plane_fate_pass(Round r, const std::vector<bool>& alive);
+  // Destination-major delivery and transition for destinations [lo, hi):
+  // `shared` holds the round's shared inbox (its dest fields are retargeted
+  // per destination), `lane` collects the closure updates.
+  struct EngineLane;
+  void plane_deliver(std::size_t lo, std::size_t hi,
+                     const std::vector<bool>& alive,
+                     std::vector<Message>& shared, EngineLane& lane);
+
   // --- Parallel round engine (lanes_ > 1) --------------------------------
   //
-  // Message fate in the parallel send phase: begin_round collection fans
-  // out across lanes (C1), a SERIAL fate pass walks the collected messages
-  // in exact sender-major order — every RNG draw, fault manifestation,
-  // in-flight enqueue and SendRecord slot index therefore matches the
-  // serial path bit-for-bit (C2) — and the lanes then fill their
-  // pre-assigned record slots, apply lane-local causality updates and push
-  // inbox deliveries for the destinations they own (C3).
+  // Message fate in the parallel send phase of a traced, recorded or
+  // jittered round: begin_round collection fans out across lanes (C1), a
+  // SERIAL fate pass walks the collected messages in exact sender-major
+  // order — every RNG draw, fault manifestation, in-flight enqueue and
+  // SendRecord slot index therefore matches the serial path bit-for-bit
+  // (C2) — and the lanes then fill their pre-assigned record slots, apply
+  // lane-local causality updates and push inbox deliveries for the
+  // destinations they own (C3).
   static constexpr std::uint8_t kFateDelivered = 0;
   static constexpr std::uint8_t kFateDestCrashed = 1;
   static constexpr std::uint8_t kFateRecvDropped = 2;
+  static constexpr std::uint8_t kFateSendDropped = 3;
   struct EngineLane {
     // Slow-path send collection: messages from this lane's contiguous
     // sender range, in sender-then-emission order.
@@ -186,14 +210,18 @@ class SyncSimulator {
       std::uint8_t fate;
     };
     std::vector<Delivery> deliveries;
-    // Fast-path scratch: per-lane collection log and a private copy of the
-    // shared broadcast inbox (only the dest field is retargeted per
-    // destination, so lanes cannot share one).
-    std::vector<FastSend> fast_log;
-    std::vector<Message> fast_inbox;
+    // Broadcast-plane scratch: the lane's collection log, a private copy of
+    // the shared inbox (only the dest field is retargeted per destination,
+    // so lanes cannot share one) and the filtered inbox of a destination
+    // whose drops differ from the round's shared ones.
+    std::vector<PlaneSend> plane_log;
+    std::vector<Message> plane_inbox;
+    std::vector<Message> filtered_inbox;
     CausalityTracker::Lane causality;
   };
   unsigned lanes_ = 1;  // config_.threads resolved and clamped
+  // lanes_ entries (one when serial: the broadcast plane delivers through a
+  // lane either way).
   std::vector<EngineLane> engine_lanes_;
   std::vector<std::uint8_t> dest_lane_;  // owner lane of each destination
   // Fate-pass scratch: sender-omission-dropped messages and their record
@@ -228,24 +256,29 @@ class SyncSimulator {
   // outgoing buffer held.
   std::vector<Message> outgoing_;
   std::vector<std::vector<Message>> inbox_;  // per destination
-  // Fast-path round log and shared delivery scratch (see FastSend); both
-  // keep their capacity across rounds.
-  std::vector<FastSend> fast_log_;
-  std::vector<Message> fast_inbox_;
+  // Broadcast-plane round log and shared delivery scratch (see PlaneSend);
+  // both keep their capacity across rounds.
+  std::vector<PlaneSend> plane_log_;
+  std::vector<Message> plane_inbox_;
+  // Broadcast-plane fate-pass output.  plane_shared_drop_[i]: log entry i
+  // reaches no live remote destination (it is left out of the shared inbox
+  // and delivered to its sender alone).  plane_drops_: the remaining
+  // (dest, entry) drops to live destinations, sorted.  plane_filtered_[q]:
+  // q's inbox differs from the shared one (it has drops, or is the sender
+  // of a shared-dropped entry).
+  std::vector<std::uint8_t> plane_shared_drop_;
+  std::vector<std::pair<ProcessId, std::uint32_t>> plane_drops_;
+  std::vector<std::uint8_t> plane_filtered_;
+  // Union of the shared inbox's send snapshots: the closure update of every
+  // destination that receives the shared inbox.
+  ProcessSet plane_union_;
   // Per-process omission-rule presence, frozen at the first run_rounds call:
   // lets the per-message path skip the rule-scan calls entirely for the
   // (typical) processes with no omission faults planned.  Behavior-neutral:
   // an empty rule list never draws randomness and never drops.
   std::vector<std::uint8_t> has_send_rules_;
   std::vector<std::uint8_t> has_recv_rules_;
-  // Any process at all has omission rules.  When false (with recording and
-  // tracing off, zero jitter, and every process alive and unhalted this
-  // round) the send phase takes a fast path that streams each delivery
-  // straight into the destination inbox — no per-message fault checks, no
-  // outbox scratch, no SendRecord plumbing.  Behavior-identical: on such a
-  // round every message is delivered, in the same sender-then-dest order,
-  // with no RNG draws and nothing recorded either way.
-  bool any_rules_ = false;
+  std::vector<ProcessId> recv_rule_procs_;  // ascending ids with recv rules
   ProcessSet correct_;  // non-manifested processes, rebuilt each round
   // Synthetic lost_in_flight records appended to the final round's sends
   // when run_rounds returned with messages still in flight; retracted (and

@@ -5,24 +5,30 @@
 // and every downstream fingerprint must not move when a round's phases run
 // on 2 or 8 lanes instead of inline.  This suite pins that contract three
 // ways: the golden-fingerprint constants re-asserted at threads ∈ {1,2,8},
-// full history-dump equality on both the broadcast fast path and the
-// fault/jitter slow path, and the explorer's aggregate fingerprint under a
+// full history-dump equality on both the broadcast plane and the
+// recorded/jittered slow path, the plane against the recorded run under
+// omission faults, and the explorer's aggregate fingerprint under a
 // process-wide lane default.  A flight-recorder stress test dumps the ring
 // mid-run while lanes record — the TSan CI leg runs this suite to prove the
 // engine shares nothing without a happens-before edge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 
 #include "check/explorer.h"
+#include "core/round_agreement.h"
 #include "obs/flight.h"
 #include "sim/history_dump.h"
 #include "sim/simulator.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace ftss {
 namespace {
@@ -146,7 +152,7 @@ TEST(ParallelRound, PinnedFingerprintsIdenticalAtAnyLaneCount) {
   }
 }
 
-// Broadcast fast path (no recording, no faults, no jitter): destination-
+// Broadcast plane without faults (no recording, no jitter): destination-
 // partitioned lanes with private scratch inboxes must reproduce the serial
 // destination-major loop's history exactly.  n is chosen so 8 lanes each own
 // several destinations and the id-range split has ragged edges.
@@ -221,6 +227,191 @@ TEST(ParallelRound, RecordingOffSlowPathIdenticalAcrossLaneCounts) {
   for (unsigned threads : {2u, 8u}) {
     EXPECT_EQ(run_at(threads), serial) << "threads=" << threads;
   }
+}
+
+// --- Broadcast plane vs the streaming path under omission faults -----------
+
+enum class PlaneSystem { kFig1, kUniform, kMixed };
+
+// A Fig 1-style process that also sends targeted messages on even local
+// rounds and skips its broadcast on some rounds, so a run alternates
+// between broadcast-only round logs and mixed ones.  Its state folds every
+// delivery's sender, dest and payload in order, so the final snapshot pins
+// each inbox's exact content.
+class MixedSender : public SyncProcess {
+ public:
+  MixedSender(ProcessId self, int n) : self_(self), n_(n) {}
+
+  void begin_round(Outbox& out) override {
+    if (step_ % 2 == 0 && self_ % 3 == 0) {
+      out.send(static_cast<ProcessId>((self_ + 1 + step_) % n_), Value(-c_));
+    }
+    if (self_ % 4 != 1 || step_ % 3 != 2) out.broadcast(Value(c_));
+  }
+
+  void end_round(const std::vector<Message>& delivered) override {
+    Round best = c_;
+    for (const Message& m : delivered) {
+      const std::int64_t v = m.payload.int_or(0);
+      for (const std::int64_t x : {std::int64_t{m.sender},
+                                   std::int64_t{m.dest}, v}) {
+        digest_ = (digest_ ^ static_cast<std::uint64_t>(x)) * 0x100000001b3ULL;
+      }
+      best = std::max(best, v);
+    }
+    c_ = best + 1;
+    ++step_;
+  }
+
+  Value snapshot_state() const override {
+    Value s;
+    s["c"] = Value(c_);
+    s["digest"] = Value(static_cast<std::int64_t>(digest_));
+    s["step"] = Value(step_);
+    return s;
+  }
+  void restore_state(const Value& state) override {
+    c_ = state.at("c").int_or(c_);
+  }
+  std::optional<Round> round_counter() const override { return c_; }
+
+ private:
+  ProcessId self_;
+  int n_;
+  Round c_ = 1;
+  std::int64_t step_ = 0;
+  std::uint64_t digest_ = kFnvBasis;
+};
+
+std::vector<std::unique_ptr<SyncProcess>> plane_system(PlaneSystem sys,
+                                                       int n) {
+  std::vector<std::unique_ptr<SyncProcess>> procs;
+  for (ProcessId p = 0; p < n; ++p) {
+    switch (sys) {
+      case PlaneSystem::kFig1:
+        procs.push_back(std::make_unique<RoundAgreementProcess>(p));
+        break;
+      case PlaneSystem::kUniform:
+        procs.push_back(std::make_unique<UniformRoundAgreementProcess>(p));
+        break;
+      case PlaneSystem::kMixed:
+        procs.push_back(std::make_unique<MixedSender>(p, n));
+        break;
+    }
+  }
+  return procs;
+}
+
+// One seeded cell of the omission grid: two clock corruptions and
+// max(3, n/5) faulty processes, cycling through every plan shape the
+// broadcast plane must resolve exactly as the streaming path does.
+void apply_omission_plans(SyncSimulator& sim, int n, std::uint64_t seed,
+                          Round rounds) {
+  Rng rng(seed);
+  const int faulty = std::max(3, n / 5);
+  const std::vector<int> picked = rng.sample(n, faulty + 2);
+  for (int i = 0; i < 2; ++i) {
+    sim.corrupt_state(picked[faulty + i],
+                      testing::clock_state(rng.uniform(-5000, 5000)));
+  }
+  for (int i = 0; i < faulty; ++i) {
+    const ProcessId other = static_cast<ProcessId>(rng.uniform(0, n - 1));
+    const Round from = rng.uniform(1, rounds / 2);
+    const Round to = from + rng.uniform(0, rounds / 2);
+    FaultPlan plan;
+    switch ((seed + static_cast<std::uint64_t>(i)) % 7) {
+      case 0:  // send-omission window, p = 1
+        plan.send_omissions.push_back(
+            OmissionRule{.from_round = from, .to_round = to});
+        break;
+      case 1:
+        plan = FaultPlan::lossy(0.3, 0.2);
+        break;
+      case 2:  // peer-specific rules
+        plan.send_omissions.push_back(OmissionRule{
+            .from_round = from, .to_round = to, .peer = other});
+        plan.receive_omissions.push_back(
+            OmissionRule{.peer = other, .probability = 0.6});
+        break;
+      case 3:  // receive-omission window
+        plan.receive_omissions.push_back(
+            OmissionRule{.from_round = from,
+                         .to_round = to,
+                         .probability = rng.chance(0.5) ? 1.0 : 0.4});
+        break;
+      case 4:
+        plan = FaultPlan::crash(rng.uniform(2, rounds - 1));
+        break;
+      case 5:
+        plan = FaultPlan::mute();
+        break;
+      default:
+        plan = FaultPlan::hide_until(rng.uniform(2, rounds));
+        break;
+    }
+    sim.set_fault_plan(picked[i], std::move(plan));
+  }
+}
+
+// The broadcast plane (record_sends off, zero jitter) replaces the
+// streaming path's per-message resolution with a sparse fate pass and
+// destination-major delivery; the recorded run still streams (and is
+// itself identical at any lane count).  Every round column and every final
+// process state must match at any lane count — a drop applied to the
+// wrong destination, a draw out of order or a halted or crashed
+// destination mistreated all move them.  n = 130 crosses the ProcessSet
+// inline -> heap boundary.
+TEST(ParallelRound, OmissionPlaneMatchesRecordedRun) {
+  constexpr Round kRounds = 12;
+  int halted_runs = 0;
+  for (const PlaneSystem sys :
+       {PlaneSystem::kFig1, PlaneSystem::kUniform, PlaneSystem::kMixed}) {
+    for (const int n : {5, 27, 130}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        auto run = [&](bool record_sends, unsigned threads) {
+          auto sim = std::make_unique<SyncSimulator>(
+              SyncConfig{.seed = seed * 31 + static_cast<std::uint64_t>(n),
+                         .record_states = false,
+                         .record_sends = record_sends,
+                         .threads = threads},
+              plane_system(sys, n));
+          apply_omission_plans(*sim, n, seed, kRounds);
+          sim->run_rounds(kRounds);
+          return sim;
+        };
+        const auto recorded = run(true, 1);
+        for (const unsigned threads : {1u, 2u, 8u}) {
+          const auto plane = run(false, threads);
+          const std::string cell =
+              "system " + std::to_string(static_cast<int>(sys)) +
+              " n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+              " threads=" + std::to_string(threads);
+          const History& a = recorded->history();
+          const History& b = plane->history();
+          ASSERT_EQ(a.length(), b.length()) << cell;
+          for (Round r = 1; r <= a.length(); ++r) {
+            EXPECT_EQ(a.at(r).clock, b.at(r).clock) << cell << " round " << r;
+            EXPECT_EQ(a.at(r).coterie, b.at(r).coterie)
+                << cell << " round " << r;
+            EXPECT_EQ(a.at(r).faulty_by_now, b.at(r).faulty_by_now)
+                << cell << " round " << r;
+            EXPECT_EQ(a.at(r).alive, b.at(r).alive) << cell << " round " << r;
+          }
+          bool any_halted = false;
+          for (ProcessId p = 0; p < n; ++p) {
+            EXPECT_EQ(recorded->process(p).snapshot_state(),
+                      plane->process(p).snapshot_state())
+                << cell << " process " << p;
+            any_halted = any_halted || plane->process(p).halted();
+          }
+          if (any_halted) ++halted_runs;
+        }
+      }
+    }
+  }
+  // The uniform system must actually halt somewhere, or the halted-
+  // destination handling went untested.
+  EXPECT_GT(halted_runs, 0);
 }
 
 // The whole checker pipeline under a process-wide lane default: sampling,

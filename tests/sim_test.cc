@@ -233,13 +233,6 @@ TEST(SyncSimulator, ConfigurationAfterStartIsRejected) {
   EXPECT_THROW(sim.corrupt_state(0, Value(1)), std::logic_error);
 }
 
-TEST(SyncSimulator, PlannedFaultyReflectsPlans) {
-  SyncSimulator sim(SyncConfig{}, probes(3));
-  sim.set_fault_plan(2, FaultPlan::crash(100));
-  EXPECT_EQ(sim.planned_faulty().to_bools(),
-            (std::vector<bool>{false, false, true}));
-}
-
 TEST(SyncSimulator, SendToBadDestinationThrows) {
   class BadSender : public SyncProcess {
    public:
@@ -335,16 +328,17 @@ TEST(SyncSimulator, InFlightFlushIsRetractedWhenTheRunIsExtended) {
   }
 }
 
-TEST(SyncSimulator, RecordSendsOffPreservesTheRoundColumns) {
-  // record_sends=false is a pure observability knob: the run itself — RNG
-  // consumption, fault manifestation, delayed deliveries, coteries, clocks —
-  // must be bit-identical to the recorded run; only the SendRecord rows
-  // disappear.  Faults plus jitter cover every send-resolution path.
-  const auto build = [](bool record_sends) {
+// record_sends=false is a pure observability knob: the run itself — RNG
+// consumption, fault manifestation, delayed deliveries, coteries, clocks —
+// must be bit-identical to the recorded run; only the SendRecord rows
+// disappear.  Faults plus jitter cover every send-resolution path; without
+// jitter the unrecorded run takes the broadcast plane instead.
+void expect_record_sends_off_preserves_columns(int max_extra_delay) {
+  const auto build = [&](bool record_sends) {
     SyncSimulator sim(SyncConfig{.seed = 17,
                                  .record_states = false,
                                  .record_sends = record_sends,
-                                 .max_extra_delay = 3},
+                                 .max_extra_delay = max_extra_delay},
                       round_agreement_system(5));
     sim.set_fault_plan(1, FaultPlan::lossy(0.4, 0.4));
     sim.set_fault_plan(3, FaultPlan::crash(6));
@@ -366,6 +360,14 @@ TEST(SyncSimulator, RecordSendsOffPreservesTheRoundColumns) {
     EXPECT_FALSE(a.at(r).sends.empty()) << "round " << r;
     EXPECT_TRUE(b.at(r).sends.empty()) << "round " << r;
   }
+}
+
+TEST(SyncSimulator, RecordSendsOffPreservesTheRoundColumns) {
+  expect_record_sends_off_preserves_columns(3);
+}
+
+TEST(SyncSimulator, RecordSendsOffPreservesTheRoundColumnsWithoutJitter) {
+  expect_record_sends_off_preserves_columns(0);
 }
 
 TEST(SyncSimulator, RecordStatesRequiresRecordSends) {

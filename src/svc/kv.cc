@@ -80,14 +80,14 @@ void KvStore::apply_one(const DecodedBatch::Entry& entry, ApplyStats& stats) {
   }
   const Command& cmd = entry.cmd;
   if (cmd.client >= 0) {
-    auto [it, inserted] = last_seq_.try_emplace(cmd.client, cmd.seq);
+    auto [last, inserted] = last_seq_.try_emplace(cmd.client, cmd.seq);
     if (!inserted) {
-      if (cmd.seq <= it->second) {
+      if (cmd.seq <= *last) {
         ++stats.deduped;
         ++deduped_total_;
         return;
       }
-      it->second = cmd.seq;
+      *last = cmd.seq;
     }
   }
   if (cmd.val.is_null()) {

@@ -71,22 +71,19 @@ class RequestPlane {
     return proposals_empty_backpressure_;
   }
   // True once every submitted command sits in a decided instance.
-  bool drained() const;
+  bool drained() const { return queue_.empty() && open_.empty(); }
 
  private:
-  struct Assignment {
-    std::vector<Command> commands;
-    bool decided = false;
-    bool reclaimed = false;
-  };
-
   int batch_;
   std::int64_t pipeline_depth_;
   std::int64_t applied_floor_ = -1;
 
   std::deque<Command> queue_;
   std::map<std::int64_t, Value> proposals_;        // memoized, by instance
-  std::map<std::int64_t, Assignment> assignments_; // non-empty proposals only
+  // Non-empty proposals neither decided nor reclaimed yet, by instance: all
+  // reclaim() and drained() look at.  A decided or reclaimed assignment
+  // leaves, and its commands with it.
+  std::map<std::int64_t, std::vector<Command>> open_;
 
   std::int64_t submitted_ = 0;
   std::int64_t retransmitted_ = 0;

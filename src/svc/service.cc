@@ -26,9 +26,10 @@ std::uint64_t op_hash(std::uint64_t seed, std::int64_t c, std::int64_t seq) {
                             static_cast<std::uint64_t>(seq)));
 }
 
-std::uint64_t pack_request(std::int64_t client, std::int64_t seq) {
-  return (static_cast<std::uint64_t>(client) << 32) |
-         (static_cast<std::uint64_t>(seq) & 0xffffffffULL);
+std::int64_t pack_request(std::int64_t client, std::int64_t seq) {
+  return static_cast<std::int64_t>(
+      (static_cast<std::uint64_t>(client) << 32) |
+      (static_cast<std::uint64_t>(seq) & 0xffffffffULL));
 }
 
 // Commands carried by one decided value (0 for empty / garbage shapes).
@@ -232,7 +233,7 @@ void KvService::issue_client_ops(Time now) {
     cmd.client = c;
     cmd.seq = seq;
     plane_->submit(std::move(cmd));
-    outstanding_.emplace(pack_request(c, seq), now);
+    outstanding_.try_emplace(pack_request(c, seq), now);
     ++requests_submitted_;
     if (!config_.closed_loop) {
       // Open loop: the next op's submit time is fixed at issue time,
@@ -274,13 +275,22 @@ void KvService::serve_read(std::int64_t c, const ClientOp& op, Time now) {
 }
 
 void KvService::complete_request(std::int64_t c, std::int64_t seq, Time now) {
-  auto it = outstanding_.find(pack_request(c, seq));
-  if (it == outstanding_.end()) return;  // duplicate decide or dedup'd apply
-  latency_hist_.observe(now - it->second);
-  outstanding_.erase(it);
+  const std::int64_t id = pack_request(c, seq);
+  const Time* submitted = outstanding_.find(id);
+  if (submitted == nullptr) return;  // duplicate decide or dedup'd apply
+  latency_hist_.observe(now - *submitted);
+  outstanding_.erase(id);
   ++requests_completed_;
   if (config_.closed_loop) {
     schedule_client(c, now + client_op(c, seq).think);
+  }
+}
+
+void KvService::complete_batch(const DecodedBatch& batch, Time now) {
+  for (const DecodedBatch::Entry& entry : batch.entries) {
+    if (entry.cmd.client >= 0) {
+      complete_request(entry.cmd.client, entry.cmd.seq, now);
+    }
   }
 }
 
@@ -307,8 +317,7 @@ void KvService::scan_logs(Time now) {
         as_decided = it->second.value == d.value;
         if (!as_decided) it->second.agreed = false;
       }
-      rs.pending.emplace(d.instance,
-                         PendingDecision{d.value, d.at_time, as_decided});
+      rs.pending.try_emplace(d.instance, d.value, d.at_time, as_decided);
     }
   }
 }
@@ -325,9 +334,8 @@ void KvService::apply_decided(Time now) {
     // across live replicas (asymmetric skips would diverge the stores).
     for (auto it = decided_.lower_bound(rs.applied_through);
          it != decided_.end(); ++it) {
-      rs.pending.emplace(it->first,
-                         PendingDecision{it->second.value,
-                                         it->second.first_time, true});
+      rs.pending.try_emplace(it->first, it->second.value,
+                             it->second.first_time, true);
     }
     while (!rs.pending.empty()) {
       auto it = rs.pending.begin();
@@ -358,20 +366,24 @@ void KvService::apply_decided(Time now) {
       }
       // The shared decoded batch, unless this replica logged a value other
       // than decided_'s (or the test hook rewrites decisions): then its own
-      // value is decoded for it alone.
-      DecodedBatch own;
-      const DecodedBatch* batch = &own;
-      if (config_.decision_transform) {
-        own = decode_decision(config_.decision_transform(pd.value));
-      } else if (!pd.as_decided) {
-        own = decode_decision(pd.value);
+      // value is decoded, applied and completed for it alone.
+      if (config_.decision_transform || !pd.as_decided) {
+        const DecodedBatch own = decode_decision(
+            config_.decision_transform ? config_.decision_transform(pd.value)
+                                       : pd.value);
+        rs.store.apply(own);
+        complete_batch(own, now);
       } else {
-        batch = &shared_batch(it->first);
-      }
-      rs.store.apply(*batch);
-      for (const DecodedBatch::Entry& entry : batch->entries) {
-        if (entry.cmd.client >= 0) {
-          complete_request(entry.cmd.client, entry.cmd.seq, now);
+        // Completing a shared batch once is exact.  Every entry with a
+        // client id is a submitted request (corrupted consensus state
+        // carries no "client" field), and once completed it leaves
+        // outstanding_ for good, since a client's seq only grows: every
+        // later replica's lookups would miss.
+        SharedBatch& shared = shared_batch(it->first);
+        rs.store.apply(shared.batch);
+        if (!shared.completed) {
+          complete_batch(shared.batch, now);
+          shared.completed = true;
         }
       }
       rs.applied_through = it->first + 1;
@@ -382,9 +394,9 @@ void KvService::apply_decided(Time now) {
   }
 }
 
-const DecodedBatch& KvService::shared_batch(std::int64_t instance) {
+KvService::SharedBatch& KvService::shared_batch(std::int64_t instance) {
   auto [it, inserted] = decoded_.try_emplace(instance);
-  if (inserted) it->second = decode_decision(decided_.at(instance).value);
+  if (inserted) it->second.batch = decode_decision(decided_.at(instance).value);
   return it->second;
 }
 

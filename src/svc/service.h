@@ -47,13 +47,13 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "consensus/harness.h"
 #include "obs/metrics.h"
 #include "svc/kv.h"
 #include "svc/plane.h"
+#include "util/flat_map.h"
 
 namespace ftss::svc {
 
@@ -231,6 +231,12 @@ class KvService {
     Time first_time = 0;
     bool agreed = true;
   };
+  // A decided_ value decoded once.  Its requests are completed at the first
+  // replica's apply; `completed` spares the later replicas the lookups.
+  struct SharedBatch {
+    DecodedBatch batch;
+    bool completed = false;
+  };
   struct ClientOp {
     bool read = false;
     std::int64_t key = 0;
@@ -245,7 +251,8 @@ class KvService {
   void complete_request(std::int64_t c, std::int64_t seq, Time now);
   void scan_logs(Time now);
   void apply_decided(Time now);
-  const DecodedBatch& shared_batch(std::int64_t instance);
+  SharedBatch& shared_batch(std::int64_t instance);
+  void complete_batch(const DecodedBatch& batch, Time now);
   void inject_due_corruptions(Time upto);
   void step_to(Time t);
   void pump(Time now);
@@ -259,7 +266,7 @@ class KvService {
   // decided_ values decoded once and applied at every replica whose pending
   // value is decided_'s; released once every live replica has applied past
   // them, so this holds at most the live replicas' application spread.
-  std::map<std::int64_t, DecodedBatch> decoded_;
+  std::map<std::int64_t, SharedBatch> decoded_;
   std::int64_t max_decided_ = -1;
   std::int64_t max_cmd_decided_ = -1;  // newest command-carrying instance
 
@@ -268,7 +275,7 @@ class KvService {
   using DueEntry = std::pair<Time, std::int64_t>;  // (due time, client)
   std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<DueEntry>>
       due_;
-  std::unordered_map<std::uint64_t, Time> outstanding_;  // packed id → submit
+  FlatMap64 outstanding_;  // packed (client, seq) → submit time
 
   std::vector<SvcFaultPlan::Corruption> pending_corruptions_;
   MetricsRegistry metrics_;

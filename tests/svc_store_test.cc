@@ -6,9 +6,12 @@
 //     seeded stream of adversarial decided values;
 //   * check_clean_era on hand-built survivor logs: identical logs replay
 //     once, a differing clean-range value breaks convergence, differences
-//     outside [clean_from, cutoff] do not.
+//     outside [clean_from, cutoff] do not;
+//   * the RequestPlane's open assignments: partial decides, oldest-first
+//     reclaim of the stale ones, and drained().
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -136,12 +139,18 @@ class DecisionGen {
     }
   }
 
+  // Small ids collide (dedup hits); the wide range and the extremes spread
+  // the dedup floor over thousands of clients, so its table grows and
+  // probes past occupied slots.
   Value id_field() {
-    switch (rng_.uniform(0, 9)) {
+    switch (rng_.uniform(0, 11)) {
       case 0: return Value("3");  // non-int
       case 1: return Value(true);
       case 2: return Value();
       case 3: return Value(std::int64_t{1'000'000'000'000'000});  // 10^15
+      case 4: return Value(std::numeric_limits<std::int64_t>::max());
+      case 5: return Value(std::numeric_limits<std::int64_t>::min());
+      case 6: return Value(rng_.uniform(0, 1'000'000'000'000));
       default: return Value(rng_.uniform(-1, 6));
     }
   }
@@ -291,6 +300,59 @@ TEST(SvcCleanEra, EmptyRangeOrNoLogsIsNotConverged) {
   const svc::CleanEraCheck check = svc::check_clean_era(logs, 4, 3);
   EXPECT_FALSE(check.converged);
   EXPECT_EQ(check.replays, 0);
+}
+
+// --- request plane -----------------------------------------------------------
+
+Command write(std::int64_t seq) { return {"k", Value(seq), 0, seq}; }
+
+TEST(SvcRequestPlane, PartialDecideReclaimsOnlyStaleOpenAssignmentsInOrder) {
+  svc::RequestPlane plane(/*batch=*/2, /*pipeline_depth=*/100);
+  EXPECT_TRUE(plane.drained());
+  for (std::int64_t seq = 0; seq < 6; ++seq) plane.submit(write(seq));
+  EXPECT_FALSE(plane.drained());
+  EXPECT_EQ(plane.proposal(0), svc::encode_batch({write(0), write(1)}));
+  EXPECT_EQ(plane.proposal(1), svc::encode_batch({write(2), write(3)}));
+  EXPECT_EQ(plane.proposal(2), svc::encode_batch({write(4), write(5)}));
+  EXPECT_EQ(plane.pending_depth(), 0);
+  EXPECT_FALSE(plane.drained());  // three assignments still open
+
+  plane.on_decided(1);
+  EXPECT_FALSE(plane.drained());
+  // Nothing is `gap` behind the decided log yet.
+  EXPECT_EQ(plane.reclaim(/*max_decided=*/3, /*gap=*/4), 0);
+  // Instances 0 and 2 are stale and open; 1 is decided.  Their commands go
+  // back to the front of the queue in submission order.
+  EXPECT_EQ(plane.reclaim(/*max_decided=*/6, /*gap=*/4), 4);
+  EXPECT_EQ(plane.retransmitted(), 4);
+  EXPECT_EQ(plane.pending_depth(), 4);
+  EXPECT_FALSE(plane.drained());
+  // A reclaimed assignment is never reclaimed twice, and a late decide of
+  // it changes nothing.
+  EXPECT_EQ(plane.reclaim(/*max_decided=*/6, /*gap=*/4), 0);
+  plane.on_decided(0);
+  EXPECT_EQ(plane.pending_depth(), 4);
+
+  // Memoized proposals are unchanged; the re-queued commands fill new
+  // instances in their original order.
+  EXPECT_EQ(plane.proposal(0), svc::encode_batch({write(0), write(1)}));
+  EXPECT_EQ(plane.proposal(7), svc::encode_batch({write(0), write(1)}));
+  EXPECT_EQ(plane.proposal(8), svc::encode_batch({write(4), write(5)}));
+  EXPECT_EQ(plane.pending_depth(), 0);
+  EXPECT_FALSE(plane.drained());
+  plane.on_decided(8);
+  EXPECT_FALSE(plane.drained());
+  plane.on_decided(7);
+  EXPECT_TRUE(plane.drained());
+
+  // An instance decided before anyone asked for its proposal, with nothing
+  // queued, proposes the empty batch and leaves the plane drained.
+  plane.on_decided(9);
+  EXPECT_TRUE(plane.proposal(9).is_null());
+  EXPECT_TRUE(plane.drained());
+  EXPECT_NE(plane.find_proposal(2), nullptr);
+  EXPECT_EQ(plane.find_proposal(42), nullptr);
+  EXPECT_EQ(plane.retransmitted(), 4);
 }
 
 }  // namespace

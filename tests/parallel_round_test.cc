@@ -1,14 +1,14 @@
 // Deterministic intra-round parallelism (SyncConfig::threads).
 //
 // The round engine's contract is byte-identical observable output at ANY
-// lane count: clock/coterie/faulty columns, SendRecords, causality results
-// and every downstream fingerprint must not move when a round's phases run
-// on 2 or 8 lanes instead of inline.  This suite pins that contract three
-// ways: the golden-fingerprint constants re-asserted at threads ∈ {1,2,8},
-// full history-dump equality on both the broadcast plane and the
-// recorded/jittered slow path, the plane against the recorded run under
-// omission faults, and the explorer's aggregate fingerprint under a
-// process-wide lane default.  A flight-recorder stress test dumps the ring
+// lane count: clock/coterie/faulty columns, SendRecords, trace tapes,
+// causality results and every downstream fingerprint must not move when a
+// round's phases run on 2 or 8 lanes instead of inline.  This suite pins
+// that contract four ways: the golden-fingerprint constants (traced cases
+// included) re-asserted at threads ∈ {1,2,8}, full history-dump equality on
+// unrecorded runs, recorded and jittered runs folded against constants
+// pinned on an independent reference implementation, and the explorer's
+// aggregate fingerprint under a process-wide lane default.  A flight-recorder stress test dumps the ring
 // mid-run while lanes record — the TSan CI leg runs this suite to prove the
 // engine shares nothing without a happens-before edge.
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "check/explorer.h"
 #include "core/round_agreement.h"
 #include "obs/flight.h"
+#include "obs/trace.h"
 #include "sim/history_dump.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -52,15 +53,18 @@ std::uint64_t fnv(std::uint64_t h, std::string_view s) {
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
-// Same folding as golden_fingerprint_test.cc's untraced sync_fingerprint:
-// verbose history dump + metrics fingerprint + oracle violations.  The
-// constants asserted below are the exact pins from that suite, so a lane
-// count that perturbs anything observable fails against the serial truth.
-std::uint64_t sync_fingerprint(const TrialPlan& plan) {
+// Same folding as golden_fingerprint_test.cc's sync_fingerprint: verbose
+// history dump + metrics fingerprint + oracle violations, plus the JSONL
+// trace tape for traced cases.  The constants asserted below are the exact
+// pins from that suite, so a lane count that perturbs anything observable
+// fails against the serial truth.
+std::uint64_t sync_fingerprint(const TrialPlan& plan, bool traced) {
+  JsonlTraceSink sink;
   TrialRunOptions options;
   options.record_states = true;
   History history;
   options.history_out = &history;
+  if (traced) options.trace = &sink;
   const TrialResult result = run_trial(plan, options);
 
   DumpOptions dump;
@@ -70,6 +74,20 @@ std::uint64_t sync_fingerprint(const TrialPlan& plan) {
   fp = fnv(fp, history_to_string(history, dump));
   fp = fnv(fp, std::to_string(result.metrics.fingerprint()));
   for (const auto& v : result.evaluation.violations) fp = fnv(fp, v.oracle);
+  if (traced) fp = fnv(fp, sink.to_string());
+  return fp;
+}
+
+// A finished run's observable fold: the verbose history dump (every
+// SendRecord and suspect set) plus every process's final state.
+std::uint64_t run_fingerprint(const SyncSimulator& sim) {
+  DumpOptions dump;
+  dump.show_sends = true;
+  dump.show_suspects = true;
+  std::uint64_t fp = fnv(kFnvBasis, history_to_string(sim.history(), dump));
+  for (ProcessId p = 0; p < sim.process_count(); ++p) {
+    fp = fnv(fp, sim.process(p).snapshot_state().to_string());
+  }
   return fp;
 }
 
@@ -106,11 +124,12 @@ TrialPlan jitter_plan(std::uint64_t seed, int n, int max_extra_delay) {
   return plan;
 }
 
-TrialPlan compiled_plan(std::uint64_t seed, int n, int f, int max_extra_delay) {
+TrialPlan compiled_plan(std::uint64_t seed, const std::string& protocol, int n,
+                        int f, int max_extra_delay) {
   TrialPlan plan;
   plan.trial_seed = seed;
   plan.mode = TrialMode::kCompiled;
-  plan.protocol = "floodset-consensus";
+  plan.protocol = protocol;
   plan.n = n;
   plan.f_budget = f;
   plan.rounds = 36;
@@ -134,18 +153,30 @@ TEST(ParallelRound, PinnedFingerprintsIdenticalAtAnyLaneCount) {
   struct Case {
     const char* name;
     TrialPlan plan;
+    bool traced;
     std::uint64_t want;
   };
   const Case cases[] = {
-      {"sync/n4/seed7", sync_plan(7, 4), 0xc9eed893f838c016},
-      {"jitter/n4/d2/seed11", jitter_plan(11, 4, 2), 0x356d9460bf79b1e6},
-      {"compiled/floodset/n8/f2/d1/seed9", compiled_plan(9, 8, 2, 1),
+      {"sync/n4/seed7", sync_plan(7, 4), false, 0xc9eed893f838c016},
+      {"sync/n4/seed7/traced", sync_plan(7, 4), true, 0xa88e386fb597faae},
+      {"jitter/n4/d2/seed11", jitter_plan(11, 4, 2), false,
+       0x356d9460bf79b1e6},
+      {"jitter/n4/d2/seed11/traced", jitter_plan(11, 4, 2), true,
+       0xceecf8df6be581b6},
+      {"compiled/floodset/n8/f2/d1/seed9",
+       compiled_plan(9, "floodset-consensus", 8, 2, 1), false,
        0xd386235ad0028cfb},
+      {"compiled/floodset/n4/f1/seed5/traced",
+       compiled_plan(5, "floodset-consensus", 4, 1, 0), true,
+       0x1d9416d9253c4bff},
+      {"compiled/rbcast/n5/f2/d2/seed17",
+       compiled_plan(17, "reliable-broadcast", 5, 2, 2), true,
+       0x1403bbc0c46ddc95},
   };
   for (unsigned threads : {1u, 2u, 8u}) {
     SimThreadsGuard guard(threads);
     for (const Case& c : cases) {
-      const std::uint64_t got = sync_fingerprint(c.plan);
+      const std::uint64_t got = sync_fingerprint(c.plan, c.traced);
       EXPECT_EQ(got, c.want) << c.name << " at threads=" << threads
                              << " fingerprint 0x" << std::hex << got;
     }
@@ -175,9 +206,11 @@ TEST(ParallelRound, FastPathHistoryIdenticalAcrossLaneCounts) {
   }
 }
 
-// Slow path (full recording, crashes, omission rules, jitter): the
-// collect / serial-fate / parallel-fill pipeline must replicate every RNG
-// draw, SendRecord slot, in-flight enqueue and inbox order bit-for-bit.
+// Recorded runs under crashes, omission rules and jitter: every RNG draw,
+// SendRecord slot, in-flight enqueue and inbox order must match the pin at
+// any lane count.  The pins fold the dump with every SendRecord and the
+// final process states; they were measured on the pre-unification engine,
+// whose serial streaming send phase resolved each message as it was sent.
 TEST(ParallelRound, SlowPathHistoryIdenticalAcrossLaneCounts) {
   const int n = 24;
   auto run_at = [&](unsigned threads, int max_extra_delay) {
@@ -193,23 +226,25 @@ TEST(ParallelRound, SlowPathHistoryIdenticalAcrossLaneCounts) {
     sim.set_fault_plan(5, FaultPlan::hide_until(7));
     sim.set_fault_plan(7, FaultPlan::mute());
     sim.run_rounds(30);
-    DumpOptions dump;
-    dump.show_sends = true;
-    dump.show_suspects = true;
-    return history_to_string(sim.history(), dump);
+    return run_fingerprint(sim);
   };
-  for (const int delay : {0, 2}) {
-    const std::string serial = run_at(1, delay);
-    for (unsigned threads : {2u, 8u}) {
-      EXPECT_EQ(run_at(threads, delay), serial)
-          << "threads=" << threads << " max_extra_delay=" << delay;
+  const struct {
+    int max_extra_delay;
+    std::uint64_t want;
+  } cells[] = {{0, 0xba8f2fd336bd4667}, {2, 0xdf3aeaf8f326a759}};
+  for (const auto& cell : cells) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      const std::uint64_t got = run_at(threads, cell.max_extra_delay);
+      EXPECT_EQ(got, cell.want)
+          << "threads=" << threads << " max_extra_delay="
+          << cell.max_extra_delay << " fingerprint 0x" << std::hex << got;
     }
   }
 }
 
-// record_sends toggles a different template instantiation; both must hold
-// the identical-at-any-lane-count contract (the recording-off engine skips
-// slot assignment entirely).
+// The same contract with records off and jitter on: delayed messages,
+// drained arrivals and receive omissions must resolve identically whether
+// or not the run keeps SendRecords.
 TEST(ParallelRound, RecordingOffSlowPathIdenticalAcrossLaneCounts) {
   const int n = 24;
   auto run_at = [&](unsigned threads) {
@@ -221,15 +256,17 @@ TEST(ParallelRound, RecordingOffSlowPathIdenticalAcrossLaneCounts) {
                       testing::round_agreement_system(n));
     sim.set_fault_plan(3, FaultPlan::lossy(0.4, 0.2));
     sim.run_rounds(30);
-    return history_to_string(sim.history(), DumpOptions{});
+    return run_fingerprint(sim);
   };
-  const std::string serial = run_at(1);
-  for (unsigned threads : {2u, 8u}) {
-    EXPECT_EQ(run_at(threads), serial) << "threads=" << threads;
+  constexpr std::uint64_t kWant = 0x0274033dbedebbcf;
+  for (unsigned threads : {1u, 2u, 8u}) {
+    const std::uint64_t got = run_at(threads);
+    EXPECT_EQ(got, kWant) << "threads=" << threads << " fingerprint 0x"
+                          << std::hex << got;
   }
 }
 
-// --- Broadcast plane vs the streaming path under omission faults -----------
+// --- Recorded and unrecorded runs under omission faults --------------------
 
 enum class PlaneSystem { kFig1, kUniform, kMixed };
 
@@ -303,8 +340,9 @@ std::vector<std::unique_ptr<SyncProcess>> plane_system(PlaneSystem sys,
 }
 
 // One seeded cell of the omission grid: two clock corruptions and
-// max(3, n/5) faulty processes, cycling through every plan shape the
-// broadcast plane must resolve exactly as the streaming path does.
+// max(3, n/5) faulty processes, cycling through every plan shape the fate
+// pass must resolve: send and receive windows, peer rules, crashes, mute
+// and hidden processes.
 void apply_omission_plans(SyncSimulator& sim, int n, std::uint64_t seed,
                           Round rounds) {
   Rng rng(seed);
@@ -353,20 +391,35 @@ void apply_omission_plans(SyncSimulator& sim, int n, std::uint64_t seed,
   }
 }
 
-// The broadcast plane (record_sends off, zero jitter) replaces the
-// streaming path's per-message resolution with a sparse fate pass and
-// destination-major delivery; the recorded run still streams (and is
-// itself identical at any lane count).  Every round column and every final
-// process state must match at any lane count — a drop applied to the
-// wrong destination, a draw out of order or a halted or crashed
-// destination mistreated all move them.  n = 130 crosses the ProcessSet
-// inline -> heap boundary.
+// Each cell runs once with SendRecords kept and once without, at 1, 2 and 8
+// lanes.  The recorded runs must match the cell's pin, which folds the dump
+// with every SendRecord and the final process states and was measured on
+// the pre-unification engine's serial streaming send phase.  The
+// unrecorded runs draw only for the pairs an omission rule covers, so each
+// must still reproduce the recorded run's round columns and final states:
+// a drop applied to the wrong destination, a draw out of order or a halted
+// or crashed destination mistreated all move them.  n = 130 crosses the
+// ProcessSet inline -> heap boundary.
 TEST(ParallelRound, OmissionPlaneMatchesRecordedRun) {
   constexpr Round kRounds = 12;
+  // Indexed [system][n][seed - 1].
+  constexpr std::uint64_t kPins[3][3][3] = {
+      {{0x0422b87aaa76d05a, 0x8ecf4f2b476d8f00, 0xc52ecbbed89b3898},
+       {0x295da02252362dce, 0x790dca9232836125, 0xe86b19ffc6106cdb},
+       {0x313f23424b35ab8b, 0xb5608e6786f8aeac, 0x25ea08888acb521a}},
+      {{0xc356d4444e13ccae, 0xfe4d5804c67792b0, 0x602217209f08c659},
+       {0xfbb0406a8bf2382a, 0xc876e47779f2295e, 0x58bed41a7f32d4c4},
+       {0x3407811f55305b3c, 0x5c566b61e60984c9, 0x05d12d7e5845e438}},
+      {{0x0bc94b142abe86e7, 0xd6f25d00bc536c25, 0xecb2015a9fcc739a},
+       {0x6d9ba27de2bc26ea, 0x162657888fef8e33, 0x61c0c3a042aa0434},
+       {0x85a99aa2cebe9011, 0xaf662623e9a8b86b, 0x85804f10b6706882}},
+  };
+  constexpr int kSizes[] = {5, 27, 130};
   int halted_runs = 0;
   for (const PlaneSystem sys :
        {PlaneSystem::kFig1, PlaneSystem::kUniform, PlaneSystem::kMixed}) {
-    for (const int n : {5, 27, 130}) {
+    for (int ni = 0; ni < 3; ++ni) {
+      const int n = kSizes[ni];
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         auto run = [&](bool record_sends, unsigned threads) {
           auto sim = std::make_unique<SyncSimulator>(
@@ -379,13 +432,17 @@ TEST(ParallelRound, OmissionPlaneMatchesRecordedRun) {
           sim->run_rounds(kRounds);
           return sim;
         };
-        const auto recorded = run(true, 1);
+        const std::uint64_t want =
+            kPins[static_cast<int>(sys)][ni][seed - 1];
         for (const unsigned threads : {1u, 2u, 8u}) {
+          const auto recorded = run(true, threads);
           const auto plane = run(false, threads);
           const std::string cell =
               "system " + std::to_string(static_cast<int>(sys)) +
               " n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
               " threads=" + std::to_string(threads);
+          const std::uint64_t got = run_fingerprint(*recorded);
+          EXPECT_EQ(got, want) << cell << " fingerprint 0x" << std::hex << got;
           const History& a = recorded->history();
           const History& b = plane->history();
           ASSERT_EQ(a.length(), b.length()) << cell;
@@ -412,6 +469,32 @@ TEST(ParallelRound, OmissionPlaneMatchesRecordedRun) {
   // The uniform system must actually halt somewhere, or the halted-
   // destination handling went untested.
   EXPECT_GT(halted_runs, 0);
+}
+
+// Traced, recorded and jittered rounds that mix targeted sends with
+// broadcasts, under the omission grid's fault shapes.  The run is extended
+// once, so messages still in flight at the first stop are flushed as lost,
+// retracted and resolved normally.  The pin folds the dump, the final
+// states and the JSONL trace tape; it was measured on the pre-unification
+// engine, which always ran traced rounds serially.
+TEST(ParallelRound, TracedMixedJitterPinned) {
+  const int n = 20;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    JsonlTraceSink sink;
+    SyncSimulator sim(SyncConfig{.seed = 77,
+                                 .record_states = true,
+                                 .record_sends = true,
+                                 .max_extra_delay = 2,
+                                 .threads = threads},
+                      plane_system(PlaneSystem::kMixed, n));
+    apply_omission_plans(sim, n, 1, 14);
+    sim.set_trace_sink(&sink);
+    sim.run_rounds(9);
+    sim.run_rounds(5);
+    const std::uint64_t got = fnv(run_fingerprint(sim), sink.to_string());
+    EXPECT_EQ(got, 0xcf2cf656b223ab57ULL)
+        << "threads=" << threads << " fingerprint 0x" << std::hex << got;
+  }
 }
 
 // The whole checker pipeline under a process-wide lane default: sampling,

@@ -176,11 +176,11 @@ void print_ablation() {
 }
 
 // Tracing overhead on the round-agreement hot loop.  Arg encodes the sink:
-// 0 = no sink attached (the production configuration — the kTraced=false
-// run_rounds instantiation contains no emission code at all, so this must
-// track the pre-trace-layer cost), 1 = ring-buffered JSONL sink, 2 = Chrome
-// sink, 3 = flight-recorder sink (one binary ring event per simulator
-// event).  Compare arg 0 against arg 1/2/3 to see what each sink costs.
+// 0 = no sink attached (the production configuration — each emission site
+// in the fate pass is one null test, so this must track the untraced
+// engine's cost), 1 = ring-buffered JSONL sink, 2 = Chrome sink,
+// 3 = flight-recorder sink (one binary ring event per simulator event).
+// Compare arg 0 against arg 1/2/3 to see what each sink costs.
 void BM_TracedRoundAgreement(benchmark::State& state) {
   const int n = 16;
   const int sink_kind = static_cast<int>(state.range(0));

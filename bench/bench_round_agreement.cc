@@ -255,9 +255,10 @@ BENCHMARK(BM_ScaledRoundsLarge)
 
 // BM_ScaledRounds under perfbench rounds-1024's fault mix: 128 corrupted
 // clocks, 8 send-omission windows and 8 receive-omission rules at p = 0.3
-// (args: n, rounds, threads).  Any omission rule used to send a round from
-// the broadcast plane to the per-message streaming path; this is the
-// committed baseline for the plane's fate pass and filtered inboxes.
+// (args: n, rounds, threads).  Records, tracing and jitter are off, so the
+// fate pass draws only for the pairs an omission rule covers; this is the
+// committed baseline for that sparse pass and the per-destination inboxes
+// its drops force.
 void BM_ScaledRoundsOmission(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int rounds = static_cast<int>(state.range(1));

@@ -93,14 +93,15 @@ std::vector<Divergence> diff_histories(const History& a, const History& b,
 
   if (a.n != b.n) {
     sink.report("length", 0, [&] {
-      return "process counts differ: " + std::to_string(a.n) + " vs " +
+      return std::string("process counts differ: ").append(std::to_string(a.n)) +
+             " vs " +
              std::to_string(b.n);
     });
     return out;
   }
   if (a.rounds.size() != b.rounds.size()) {
     sink.report("length", 0, [&] {
-      return "round counts differ: " + std::to_string(a.rounds.size()) +
+      return std::string("round counts differ: ").append(std::to_string(a.rounds.size())) +
              " vs " + std::to_string(b.rounds.size());
     });
   }
@@ -114,26 +115,28 @@ std::vector<Divergence> diff_histories(const History& a, const History& b,
     for (int p = 0; p < a.n; ++p) {
       if (ra.alive[p] != rb.alive[p]) {
         sink.report("alive", r, [&] {
-          return "p" + std::to_string(p) + ": " +
+          return std::string("p").append(std::to_string(p)) + ": " +
                  (ra.alive[p] ? "alive" : "crashed") + " vs " +
                  (rb.alive[p] ? "alive" : "crashed");
         });
       }
       if (ra.halted[p] != rb.halted[p]) {
         sink.report("halted", r, [&] {
-          return "p" + std::to_string(p) + ": halted " +
+          return std::string("p").append(std::to_string(p)) + ": halted " +
                  bools_str({ra.halted[p]}) + " vs " + bools_str({rb.halted[p]});
         });
       }
       if (ra.clock[p] != rb.clock[p]) {
         sink.report("clock", r, [&] {
-          return "p" + std::to_string(p) + ": " + clock_str(ra.clock[p]) +
+          return std::string("p").append(std::to_string(p)) +
+                 ": " + clock_str(ra.clock[p]) +
                  " vs " + clock_str(rb.clock[p]);
         });
       }
       if (options.compare_states && ra.state[p] != rb.state[p]) {
         sink.report("state", r, [&] {
-          return "p" + std::to_string(p) + ": " + ra.state[p].to_string() +
+          return std::string("p").append(std::to_string(p)) +
+                 ": " + ra.state[p].to_string() +
                  " vs " + rb.state[p].to_string();
         });
       }
@@ -144,7 +147,7 @@ std::vector<Divergence> diff_histories(const History& a, const History& b,
       const std::vector<SendRecord> sb = canonical_sends(rb);
       if (sa.size() != sb.size()) {
         sink.report("sends", r, [&] {
-          return "send-record counts differ: " + std::to_string(sa.size()) +
+          return std::string("send-record counts differ: ").append(std::to_string(sa.size())) +
                  " vs " + std::to_string(sb.size());
         });
       }
@@ -169,7 +172,8 @@ std::vector<Divergence> diff_histories(const History& a, const History& b,
         for (std::size_t p = 0; p < ra.suspects.size() && p < rb.suspects.size();
              ++p) {
           if (ra.suspects[p] != rb.suspects[p]) {
-            return "p" + std::to_string(p) + ": " + ids_str(ra.suspects[p]) +
+            return std::string("p").append(std::to_string(p)) +
+                   ": " + ids_str(ra.suspects[p]) +
                    " vs " + ids_str(rb.suspects[p]);
           }
         }
@@ -192,9 +196,9 @@ std::vector<Divergence> diff_histories(const History& a, const History& b,
 
 std::uint64_t history_fingerprint(const History& h) {
   std::uint64_t fp = kFnvBasis;
-  fp = fnv_str(fp, "n=" + std::to_string(h.n));
+  fp = fnv_str(fp, std::string("n=").append(std::to_string(h.n)));
   for (const RoundRecord& rec : h.rounds) {
-    fp = fnv_str(fp, "r" + std::to_string(rec.round));
+    fp = fnv_str(fp, std::string("r").append(std::to_string(rec.round)));
     fp = fnv_str(fp, bools_str(rec.alive));
     fp = fnv_str(fp, bools_str(rec.halted));
     for (int p = 0; p < h.n; ++p) {

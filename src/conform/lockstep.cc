@@ -404,7 +404,8 @@ void LockstepDriver::finish(const EventSimulator& sim) {
     const bool ec = sim.crashed(p);
     if (sc != ec) {
       report("crashed", final_,
-             "p" + std::to_string(p) + ": sync " + (sc ? "crashed" : "alive") +
+             std::string("p").append(std::to_string(p)) +
+             ": sync " + (sc ? "crashed" : "alive") +
                  " vs event " + (ec ? "crashed" : "alive"));
     }
   }
@@ -418,11 +419,12 @@ void LockstepDriver::finish(const EventSimulator& sim) {
     if (!(sp.snapshot_state() == ep.snapshot_state()) ||
         sp.halted() != ep.halted()) {
       report("final-state", final_,
-             "p" + std::to_string(p) + ": " + sp.snapshot_state().to_string() +
+             std::string("p").append(std::to_string(p)) +
+             ": " + sp.snapshot_state().to_string() +
                  " vs " + ep.snapshot_state().to_string());
     }
     if (sp.round_counter() != ep.round_counter()) {
-      report("final-clock", final_, "p" + std::to_string(p));
+      report("final-clock", final_, std::string("p").append(std::to_string(p)));
     }
   }
 

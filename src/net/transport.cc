@@ -378,7 +378,7 @@ bool TransportDriver::read_round_reports(Round r) {
     if (snap.error != WireError::kOk || snap.eof ||
         snap.frame.type != FrameType::kSnapshot ||
         snap.frame.body.at("r").int_or(0) != r) {
-      return unsupported("p" + std::to_string(p) +
+      return unsupported(std::string("p").append(std::to_string(p)) +
                          ": expected snapshot for round " + std::to_string(r));
     }
     RoundRecord& rec = rec_of(r);
@@ -395,12 +395,13 @@ bool TransportDriver::read_round_reports(Round r) {
     for (;;) {
       Channel::RecvResult m = slot.ch.recv_frame();
       if (m.error != WireError::kOk || m.eof) {
-        return unsupported("p" + std::to_string(p) + ": stream broke in round " +
+        return unsupported(std::string("p").append(std::to_string(p)) +
+                           ": stream broke in round " +
                            std::to_string(r));
       }
       if (m.frame.type == FrameType::kSendDone) break;
       if (m.frame.type != FrameType::kMessage) {
-        return unsupported("p" + std::to_string(p) +
+        return unsupported(std::string("p").append(std::to_string(p)) +
                            ": unexpected frame in send phase");
       }
       handle_send(r, p, m.frame.body);
@@ -470,14 +471,14 @@ bool TransportDriver::ship_deliveries(Round r,
     std::vector<std::uint8_t> frame;
     wire::encode_frame(FrameType::kDeliver, env, frame);
     if (!slots_[pend.dest].ch.send_bytes(frame)) {
-      return unsupported("p" + std::to_string(pend.dest) +
+      return unsupported(std::string("p").append(std::to_string(pend.dest)) +
                          ": delivery write failed");
     }
     ++counts[pend.dest];
     if (attempt == options_.duplicate_index) {
       // CORRUPTION HOOK: duplicated frame, byte-identical envelope.
       if (!slots_[pend.dest].ch.send_bytes(frame)) {
-        return unsupported("p" + std::to_string(pend.dest) +
+        return unsupported(std::string("p").append(std::to_string(pend.dest)) +
                            ": duplicate delivery write failed");
       }
       ++counts[pend.dest];
@@ -553,7 +554,7 @@ bool TransportDriver::read_inbox_statuses(Round r) {
     if (st.error != WireError::kOk || st.eof ||
         st.frame.type != FrameType::kInboxStatus ||
         st.frame.body.at("r").int_or(0) != r) {
-      return unsupported("p" + std::to_string(p) +
+      return unsupported(std::string("p").append(std::to_string(p)) +
                          ": expected inbox status for round " +
                          std::to_string(r));
     }
@@ -617,14 +618,16 @@ bool TransportDriver::run_rounds() {
     for (ProcessId p = 0; p < n_; ++p) {
       if (crashed_by(p, r)) {
         if (!send_shutdown(p, /*end_of_run=*/false)) {
-          return unsupported("p" + std::to_string(p) + ": crash shutdown");
+          return unsupported(std::string("p").append(std::to_string(p)) +
+                             ": crash shutdown");
         }
         continue;
       }
       Value body;
       body["r"] = Value(r);
       if (!slots_[p].ch.send_frame(FrameType::kRoundBegin, body)) {
-        return unsupported("p" + std::to_string(p) + ": round begin write");
+        return unsupported(std::string("p").append(std::to_string(p)) +
+                           ": round begin write");
       }
     }
     if (!read_round_reports(r)) return false;
@@ -636,7 +639,8 @@ bool TransportDriver::run_rounds() {
       body["r"] = Value(r);
       body["count"] = Value(counts[p]);
       if (!slots_[p].ch.send_frame(FrameType::kRoundEnd, body)) {
-        return unsupported("p" + std::to_string(p) + ": round end write");
+        return unsupported(std::string("p").append(std::to_string(p)) +
+                           ": round end write");
       }
     }
     if (!read_inbox_statuses(r)) return false;
@@ -650,12 +654,14 @@ bool TransportDriver::close_books() {
   for (ProcessId p = 0; p < n_; ++p) {
     if (crashed_by(p, final_ + 1)) continue;  // shutdown already sent
     if (!send_shutdown(p, /*end_of_run=*/true)) {
-      return unsupported("p" + std::to_string(p) + ": final shutdown write");
+      return unsupported(std::string("p").append(std::to_string(p)) +
+                         ": final shutdown write");
     }
     Channel::RecvResult fin = slots_[p].ch.recv_frame();
     if (fin.error != WireError::kOk || fin.eof ||
         fin.frame.type != FrameType::kFinal) {
-      return unsupported("p" + std::to_string(p) + ": expected final report");
+      return unsupported(std::string("p").append(std::to_string(p)) +
+                         ": expected final report");
     }
     final_reports_[p] = fin.frame.body;
   }
@@ -701,7 +707,8 @@ void TransportDriver::finish() {
     const bool tc = crashed_by(p, final_);
     if (sc != tc) {
       note("crashed", final_,
-           "p" + std::to_string(p) + ": sync " + (sc ? "crashed" : "alive") +
+           std::string("p").append(std::to_string(p)) +
+           ": sync " + (sc ? "crashed" : "alive") +
                " vs transport " + (tc ? "crashed" : "alive"));
     }
   }
@@ -714,14 +721,15 @@ void TransportDriver::finish() {
     if (!(sp.snapshot_state() == rep.at("state")) ||
         sp.halted() != rep.at("halted").bool_or(false)) {
       note("final-state", final_,
-           "p" + std::to_string(p) + ": " + sp.snapshot_state().to_string() +
+           std::string("p").append(std::to_string(p)) +
+           ": " + sp.snapshot_state().to_string() +
                " vs " + rep.at("state").to_string());
     }
     const auto sync_clock = sp.round_counter();
     const bool has_clock = rep.contains("clock");
     if (sync_clock.has_value() != has_clock ||
         (sync_clock && *sync_clock != rep.at("clock").int_or(0))) {
-      note("final-clock", final_, "p" + std::to_string(p));
+      note("final-clock", final_, std::string("p").append(std::to_string(p)));
     }
   }
 
@@ -769,7 +777,8 @@ void TransportDriver::teardown() {
   }
   for (ProcessId p = 0; p < static_cast<ProcessId>(slots_.size()); ++p) {
     if (!slots_[p].error.empty()) {
-      note("io", final_, "p" + std::to_string(p) + ": " + slots_[p].error);
+      note("io", final_, std::string("p").append(std::to_string(p)) +
+                         ": " + slots_[p].error);
     }
   }
 }
@@ -846,7 +855,8 @@ void TransportDriver::run() {
     }
     if (!corrupt.empty()) init["corrupt"] = Value(std::move(corrupt));
     if (!slots_[p].ch.send_frame(FrameType::kInit, init)) {
-      alive = unsupported("p" + std::to_string(p) + ": init write");
+      alive = unsupported(std::string("p").append(std::to_string(p)) +
+                          ": init write");
     }
   }
 

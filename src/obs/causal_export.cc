@@ -9,7 +9,11 @@ namespace ftss {
 namespace {
 
 std::string node(ProcessId p, Round r) {
-  return "p" + std::to_string(p) + "_r" + std::to_string(r);
+  std::string id = "p";
+  id += std::to_string(p);
+  id += "_r";
+  id += std::to_string(r);
+  return id;
 }
 
 }  // namespace
@@ -120,7 +124,8 @@ void export_chrome_flows(std::ostream& os, const History& h,
     const std::int64_t ts = rec.round * us;
     for (ProcessId p = 0; p < h.n; ++p) {
       if (!rec.alive[p]) continue;
-      std::string label = "r" + std::to_string(rec.round);
+      std::string label = "r";
+      label += std::to_string(rec.round);
       if (rec.clock[p]) label += " c=" + std::to_string(*rec.clock[p]);
       Value span = flow_record(label.c_str(), "X", ts, p);
       span["dur"] = Value(us);

@@ -99,9 +99,10 @@ void ChromeTraceSink::write(std::ostream& os) const {
       span["dur"] = Value(us);
       out.push_back(std::move(span));
     }
+    std::string slice = "r";
+    slice += std::to_string(e.round);
     for (ProcessId p = 0; p <= max_p; ++p) {
-      Value span = chrome_record(("r" + std::to_string(e.round)).c_str(), "X",
-                                 ts, p);
+      Value span = chrome_record(slice.c_str(), "X", ts, p);
       span["dur"] = Value(us);
       out.push_back(std::move(span));
     }

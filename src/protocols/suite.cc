@@ -19,7 +19,8 @@ InputSource numbered_inputs(int) {
 
 InputSource string_inputs(int) {
   return [](ProcessId p, std::int64_t iteration) {
-    return Value("v" + std::to_string(iteration) + "_" + std::to_string(p));
+    return Value(std::string("v").append(std::to_string(iteration)) +
+                 "_" + std::to_string(p));
   };
 }
 
@@ -27,7 +28,7 @@ InputSource rotating_broadcast_inputs(int n) {
   return [n](ProcessId, std::int64_t iteration) {
     return ReliableBroadcastProtocol::make_input(
         static_cast<ProcessId>(floor_mod(iteration, n)),
-        Value("m" + std::to_string(iteration)));
+        Value(std::string("m").append(std::to_string(iteration))));
   };
 }
 

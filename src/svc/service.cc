@@ -228,7 +228,8 @@ void KvService::issue_client_ops(Time now) {
       continue;
     }
     Command cmd;
-    cmd.key = "k" + std::to_string(op.key);
+    cmd.key = "k";
+    cmd.key += std::to_string(op.key);
     cmd.val = Value(op.val);
     cmd.client = c;
     cmd.seq = seq;

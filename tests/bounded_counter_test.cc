@@ -158,7 +158,7 @@ TEST_P(BoundedModulusSweep, DisturbanceRecursAtPeriodM) {
 INSTANTIATE_TEST_SUITE_P(Moduli, BoundedModulusSweep,
                          ::testing::Values<std::int64_t>(4, 8, 16, 32, 64),
                          [](const ::testing::TestParamInfo<std::int64_t>& param_info) {
-                           return "M" + std::to_string(param_info.param);
+                           return std::string("M").append(std::to_string(param_info.param));
                          });
 
 }  // namespace

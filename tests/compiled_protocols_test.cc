@@ -22,13 +22,14 @@ InputSource rotating_broadcast_inputs(int n) {
   return [n](ProcessId, std::int64_t iteration) {
     return ReliableBroadcastProtocol::make_input(
         static_cast<ProcessId>(floor_mod(iteration, n)),
-        Value("m" + std::to_string(iteration)));
+        Value(std::string("m").append(std::to_string(iteration))));
   };
 }
 
 InputSource ic_inputs() {
   return [](ProcessId p, std::int64_t iteration) {
-    return Value("v" + std::to_string(iteration) + "_" + std::to_string(p));
+    return Value(std::string("v").append(std::to_string(iteration)) +
+                 "_" + std::to_string(p));
   };
 }
 
@@ -43,7 +44,7 @@ TEST(CompiledBroadcast, CleanRunDeliversRotatingSequence) {
   ASSERT_EQ(analysis.iterations.size(), 8u);
   for (const auto& it : analysis.iterations) {
     EXPECT_TRUE(RepeatedAnalysis::clean(it, true)) << it.iteration;
-    EXPECT_EQ(it.decision, Value("m" + std::to_string(it.iteration)));
+    EXPECT_EQ(it.decision, Value(std::string("m").append(std::to_string(it.iteration))));
   }
 }
 
@@ -61,7 +62,7 @@ TEST(CompiledBroadcast, CrashedSourceIterationsDeliverNull) {
     if (floor_mod(it.iteration, n) == 1) {
       EXPECT_TRUE(it.decision.is_null()) << it.iteration;
     } else {
-      EXPECT_EQ(it.decision, Value("m" + std::to_string(it.iteration)));
+      EXPECT_EQ(it.decision, Value(std::string("m").append(std::to_string(it.iteration))));
     }
   }
 }
@@ -99,7 +100,8 @@ TEST(CompiledInteractiveConsistency, CleanRunAgreesOnVectors) {
     ASSERT_TRUE(it.decision.is_map());
     for (int p = 0; p < n; ++p) {
       EXPECT_EQ(it.decision.at(std::to_string(p)),
-                Value("v" + std::to_string(it.iteration) + "_" +
+                Value(std::string("v").append(std::to_string(it.iteration)) +
+                      "_" +
                       std::to_string(p)));
     }
   }
@@ -161,7 +163,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CompiledParam{8, 3, 5}, CompiledParam{10, 3, 6},
                       CompiledParam{4, 2, 7}, CompiledParam{7, 2, 8}),
     [](const ::testing::TestParamInfo<CompiledParam>& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_f" +
+      return std::string("n").append(std::to_string(param_info.param.n)) +
+             "_f" +
              std::to_string(param_info.param.f) + "_seed" +
              std::to_string(param_info.param.seed);
     });

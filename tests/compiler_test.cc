@@ -268,7 +268,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Thm4Param{4, 1, 13}, Thm4Param{5, 1, 14},
                       Thm4Param{6, 3, 15}, Thm4Param{7, 2, 16}),
     [](const ::testing::TestParamInfo<Thm4Param>& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_f" +
+      return std::string("n").append(std::to_string(param_info.param.n)) +
+             "_f" +
              std::to_string(param_info.param.f) + "_seed" +
              std::to_string(param_info.param.seed);
     });

@@ -254,7 +254,8 @@ INSTANTIATE_TEST_SUITE_P(
       for (auto& c : pattern) {
         if (c == '-') c = '_';
       }
-      return "n" + std::to_string(param_info.param.n) + "_c" +
+      return std::string("n").append(std::to_string(param_info.param.n)) +
+             "_c" +
              std::to_string(param_info.param.crashes) + "_" + pattern + "_seed" +
              std::to_string(param_info.param.seed);
     });

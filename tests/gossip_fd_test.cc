@@ -143,7 +143,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Thm5Param{9, 100, 9, false}, Thm5Param{4, 500, 10, true},
                       Thm5Param{6, 2000, 11, true}, Thm5Param{7, 100, 12, true}),
     [](const ::testing::TestParamInfo<Thm5Param>& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_mag" +
+      return std::string("n").append(std::to_string(param_info.param.n)) +
+             "_mag" +
              std::to_string(param_info.param.magnitude) + "_seed" +
              std::to_string(param_info.param.seed) +
              (param_info.param.weaken ? "_weak" : "_full");

@@ -114,7 +114,7 @@ TEST(InteractiveConsistency, EndToEndWithCrash) {
   std::vector<std::unique_ptr<SyncProcess>> procs;
   for (ProcessId p = 0; p < n; ++p) {
     procs.push_back(std::make_unique<FullInfoProcess>(
-        p, n, protocol, Value("v" + std::to_string(p))));
+        p, n, protocol, Value(std::string("v").append(std::to_string(p)))));
   }
   SyncSimulator sim(SyncConfig{}, std::move(procs));
   sim.set_fault_plan(3, FaultPlan::crash(2));

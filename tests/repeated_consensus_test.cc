@@ -194,7 +194,8 @@ INSTANTIATE_TEST_SUITE_P(
                       RepeatedParam{7, 0, true, 18},
                       RepeatedParam{9, 2, true, 19}),
     [](const ::testing::TestParamInfo<RepeatedParam>& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_c" +
+      return std::string("n").append(std::to_string(param_info.param.n)) +
+             "_c" +
              std::to_string(param_info.param.crashes) +
              (param_info.param.corrupt ? "_corrupt" : "_clean") + "_seed" +
              std::to_string(param_info.param.seed);

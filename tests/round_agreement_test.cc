@@ -271,7 +271,8 @@ INSTANTIATE_TEST_SUITE_P(
         Thm3Param{12, 5, 1'000'000'000, 17}, Thm3Param{3, 1, 5, 18},
         Thm3Param{6, 2, 50, 19}, Thm3Param{24, 11, 10'000, 20}),
     [](const ::testing::TestParamInfo<Thm3Param>& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_f" +
+      return std::string("n").append(std::to_string(param_info.param.n)) +
+             "_f" +
              std::to_string(param_info.param.f) + "_mag" +
              std::to_string(param_info.param.magnitude) + "_seed" +
              std::to_string(param_info.param.seed);

@@ -164,7 +164,7 @@ Value grid_tree(int depth, int width, int salt) {
       case 0: return Value();
       case 1: return Value(salt % 2 == 0);
       case 2: return Value(salt * 2654435761LL);
-      case 3: return Value("leaf-" + std::to_string(salt % 3));
+      case 3: return Value(std::string("leaf-").append(std::to_string(salt % 3)));
       default: return Value(Value::Array{});
     }
   }
@@ -177,7 +177,7 @@ Value grid_tree(int depth, int width, int salt) {
   }
   Value m;
   for (int i = 0; i < width; ++i) {
-    m["k" + std::to_string(i)] = grid_tree(depth - 1, width, salt * 5 + i);
+    m[std::string("k").append(std::to_string(i))] = grid_tree(depth - 1, width, salt * 5 + i);
   }
   return m;
 }

@@ -18,6 +18,7 @@
 
 #include "check/shrink.h"
 #include "conform/conform.h"
+#include "divergence_pins.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -246,6 +247,57 @@ TEST(ConformMutation, LockstepCatchesASuppressedDelivery) {
   ASSERT_TRUE(r.supported) << r.unsupported_reason;
   EXPECT_FALSE(r.ok()) << "a swallowed delivery must diverge";
   EXPECT_NE(r.sync_fingerprint, r.event_fingerprint);
+}
+
+// What the hook makes the lock-step leg report, pinned report by report,
+// with the event history's fingerprint: a change to the leg's bookkeeping
+// that moves any report, or what the observer recorded, shows here.
+TEST(ConformMutation, LockstepHookReportsArePinned) {
+  struct Case {
+    const char* name;
+    TrialPlan (*plan)();
+    int drop_delivery_index;
+    std::uint64_t event_fingerprint;
+    std::vector<testing::DivergencePin> pins;
+  };
+  const Case cases[] = {
+      {"clean/0", clean_plan, 0, 0x4d1d35799ab2a500,
+       {{"sends", 1, ""}, {"sends", 1, "p0->p0"}, {"sends", 1, "p0->p1"},
+        {"sends", 1, "p0->p2"}, {"sends", 1, "p0->p3"}, {"sends", 1, "p1->p0"},
+        {"sends", 1, "p1->p1"}, {"sends", 1, "p1->p2"}, {"sends", 1, "p1->p3"},
+        {"sends", 1, "p2->p0"}, {"sends", 1, "p2->p1"}, {"sends", 1, "p2->p2"},
+        {"sends", 1, "p2->p3"}, {"sends", 1, "p3->p0"}, {"sends", 1, "p3->p1"},
+        {"sends", 1, "p3->p2"}}},
+      {"clean/17", clean_plan, 17, 0xf08dd741965f0eb2,
+       {{"sends", 2, ""}, {"sends", 2, "p0->p1"}, {"sends", 2, "p0->p2"},
+        {"sends", 2, "p0->p3"}, {"sends", 2, "p1->p0"}, {"sends", 2, "p1->p1"},
+        {"sends", 2, "p1->p2"}, {"sends", 2, "p1->p3"}, {"sends", 2, "p2->p0"},
+        {"sends", 2, "p2->p1"}, {"sends", 2, "p2->p2"}, {"sends", 2, "p2->p3"},
+        {"sends", 2, "p3->p0"}, {"sends", 2, "p3->p1"}, {"sends", 2, "p3->p2"},
+        {"metrics", 12, ""}}},
+      {"faulty/0", faulty_plan, 0, 0x77d595a4ec101b7e,
+       {{"sends", 1, ""}, {"sends", 1, "p0->p0"}, {"sends", 1, "p0->p1"},
+        {"sends", 1, "p0->p2"}, {"sends", 1, "p0->p3"}, {"sends", 1, "p0->p4"},
+        {"sends", 1, "p1->p0"}, {"sends", 1, "p1->p1"}, {"sends", 1, "p1->p2"},
+        {"sends", 1, "p1->p3"}, {"sends", 1, "p1->p4"}, {"sends", 1, "p2->p0"},
+        {"sends", 1, "p2->p1"}, {"sends", 1, "p2->p2"}, {"sends", 1, "p2->p3"},
+        {"sends", 1, "p2->p4"}}},
+      {"faulty/17", faulty_plan, 17, 0xdf80578928cd4a5,
+       {{"sends", 1, ""}, {"sends", 1, "p3->p2"}, {"sends", 1, "p3->p3"},
+        {"sends", 1, "p3->p4"}, {"sends", 1, "p4->p0"}, {"sends", 1, "p4->p1"},
+        {"sends", 1, "p4->p2"}, {"sends", 1, "p4->p3"}, {"coterie", 1, ""},
+        {"metrics", 16, ""}}},
+  };
+  for (const Case& c : cases) {
+    LockstepOptions broken;
+    broken.drop_delivery_index = c.drop_delivery_index;
+    const LockstepResult r = run_lockstep_trial(c.plan(), broken);
+    ASSERT_TRUE(r.supported) << c.name << ": " << r.unsupported_reason;
+    const auto pins = testing::divergence_pins(r.divergences);
+    EXPECT_EQ(pins, c.pins) << c.name << ": " << testing::render_pins(pins);
+    EXPECT_EQ(r.event_fingerprint, c.event_fingerprint)
+        << c.name << ": 0x" << std::hex << r.event_fingerprint;
+  }
 }
 
 TEST(ConformMutation, ExtensionCatchesAnEngineThatRestarts) {

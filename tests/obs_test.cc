@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -425,6 +426,18 @@ TEST(ChromeTrace, ParsesAsJsonWithSpansAndFlows) {
   EXPECT_GT(flow_starts, 0);
   EXPECT_EQ(flow_starts, flow_ends);  // every arrow has both endpoints
   EXPECT_GT(counters, 0);             // clock_adopt counter track
+
+  // Both Chrome writers, byte for byte: the sink's trace and the causal
+  // export's flow document of the same run.
+  const auto fnv = [](const std::string& s) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
+    return h;
+  };
+  const std::uint64_t trace_fnv = fnv(sink.to_string());
+  const std::uint64_t flows_fnv = fnv(chrome_flows_to_string(sim.history()));
+  EXPECT_EQ(trace_fnv, 0x92082beaf9862527ULL) << "0x" << std::hex << trace_fnv;
+  EXPECT_EQ(flows_fnv, 0xb785de4f9f0ae616ULL) << "0x" << std::hex << flows_fnv;
 }
 
 TEST(CausalExport, DotContainsProcessRoundNodesAndMessageEdges) {

@@ -186,7 +186,7 @@ void print_codec_tables(bench::JsonEmitter& json) {
   bench::Table traffic("EXP17: transport trial wire traffic (n=4, 20 rounds)",
                        {"frames", "bytes", "lock-step"});
   const bool lock_step =
-      r.supported && r.notes.empty() &&
+      r.supported && r.divergences.empty() &&
       diff_histories(r.sync_history, r.transport_history).empty();
   traffic.add_row({bench::fmt(r.frames_sent), bench::fmt(r.bytes_sent),
                    bench::pass(lock_step)});

@@ -145,14 +145,13 @@ int transport(const std::string& path) {
               << " p99=" << h.percentile_upper(99) << " max=" << h.max << "\n";
   }
   bool diverged = false;
-  for (const ftss::TransportNote& n : result.notes) {
-    std::cout << n.kind << "@" << n.round << ": " << n.detail << "\n";
-    diverged = true;
-  }
-  for (const ftss::Divergence& d : ftss::diff_histories(
-           result.sync_history, result.transport_history)) {
-    std::cout << ftss::describe(d) << "\n";
-    diverged = true;
+  for (const auto& ds : {result.divergences,
+                         ftss::diff_histories(result.sync_history,
+                                              result.transport_history)}) {
+    for (const ftss::Divergence& d : ds) {
+      std::cout << ftss::describe(d) << "\n";
+      diverged = true;
+    }
   }
   if (diverged) dump_failure("ftss_conform_transport_failure", &result.timing);
   return diverged ? 1 : 0;

@@ -10,11 +10,14 @@
 // adapters wrapping fresh SyncProcess instances, one tick per process per
 // round (time r*kRoundPeriod + p), payloads crossing the event queue as
 // wrapped Values, crashes enforced by the event simulator's own time-based
-// gating, deliveries landing as timed events.  An external observer inside
-// the driver reconstructs a History from what the event leg actually did —
-// liveness from ticks that fired, clocks/states from adapter snapshots,
-// send fates from deliveries observed — and the differ compares the two
-// histories, the final states, and the metrics snapshots.
+// gating, deliveries landing as timed events.  The replay ledger
+// (check/replay.h), the external observer both replay legs share, records a
+// History from what the event leg actually did — liveness from ticks that
+// fired, clocks/states from adapter snapshots, send fates from deliveries
+// observed — and holds the final states, the crash vector (as the event
+// simulator sees it) and the metrics snapshots against the sync leg; the
+// differ compares the two histories.  This driver keeps only the tick/time
+// layout, the adapters and the event simulator's crash gating.
 //
 // What this checks: protocol transition equivalence under a second engine,
 // the event simulator's crash/dispatch semantics against the sync model,
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "check/plan.h"
+#include "check/replay.h"
 #include "conform/diff.h"
 #include "sim/history.h"
 
@@ -48,25 +52,13 @@ struct LockstepOptions {
   int drop_delivery_index = -1;
 };
 
-struct LockstepResult {
-  // False when the plan cannot be executed in lock-step mode (unknown
-  // protocol, n too large for the tick stagger, or an ambiguous schedule:
-  // one process sending the same destination twice in one round with
-  // different fates, which the fate-replay keying cannot attribute).
-  bool supported = true;
-  std::string unsupported_reason;
-
-  History sync_history;
+// ReplayResult's `supported` is also false when n is too large for the tick
+// stagger; its divergences are the ledger's cross-checks and the history
+// diffs (check/replay.h lists the kinds).
+struct LockstepResult : ReplayResult {
   History event_history;
   std::uint64_t sync_fingerprint = 0;
   std::uint64_t event_fingerprint = 0;
-  // History diffs plus cross-checks the histories cannot express: final
-  // state/clock of surviving processes ("final-state", "final-clock"),
-  // crash-vector agreement ("crashed"), metrics-snapshot agreement
-  // ("metrics") and schedule-replay integrity ("schedule").
-  std::vector<Divergence> divergences;
-
-  bool ok() const { return supported && divergences.empty(); }
 };
 
 LockstepResult run_lockstep_trial(const TrialPlan& plan,

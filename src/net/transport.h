@@ -7,7 +7,10 @@
 // delivery round is read off its audited history (sim/fate_schedule.h).
 // The transport leg then re-executes the schedule with real serialization on
 // the path.  Each process runs on its own thread behind a Channel; a hub on
-// the calling thread plays network, fault adversary and external observer.
+// the calling thread plays network and fault adversary, and keeps the
+// external observer's books in the replay ledger both legs share
+// (check/replay.h), handing it the plan's crash rounds as its crash view.
+// This file keeps only threads, channels, frames and the corruption hooks.
 // Per round the hub sends kRoundBegin to every live process, drains each
 // process's kSnapshot / kMessage* / kSendDone responses in process-id order,
 // resolves fates, ships due deliveries as kDeliver envelopes wrapping the
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "check/plan.h"
+#include "check/replay.h"
 #include "obs/metrics.h"
 #include "sim/history.h"
 #include "wire/codec.h"
@@ -59,30 +63,12 @@ struct FrameReject {
   wire::WireError error = wire::WireError::kOk;
 };
 
-// A hub-side cross-check the histories alone cannot express, in the same
-// kind/round/detail shape as conform's Divergence (converted there; net/
-// does not depend on conform/).
-struct TransportNote {
-  std::string kind;
-  Round round = 0;
-  std::string detail;
-};
-
-struct TransportResult {
-  // False when the plan cannot run on this leg (unknown protocol, no
-  // rounds, an ambiguous fate schedule) or the harness itself failed
-  // (socket/thread errors) — such results are skipped, not failed.
-  bool supported = true;
-  std::string unsupported_reason;
-
-  History sync_history;
+// ReplayResult's `supported` is also false when the harness itself failed
+// (socket/thread errors); its divergences are the ledger's cross-checks
+// plus "io" (a channel failed mid-run).  The oracle wrapper
+// (conform/metamorphic.h check_transport) appends the history diff.
+struct TransportResult : ReplayResult {
   History transport_history;
-
-  // Cross-checks: "schedule" (replay integrity), "crashed" (crash-vector
-  // agreement), "final-state" / "final-clock" (survivor agreement after the
-  // last round), "metrics" (derived metrics snapshots), "io" (a channel
-  // failed mid-run).
-  std::vector<TransportNote> notes;
 
   // Typed rejections reported by receivers; empty unless corruption was
   // injected (or an engine actually corrupts frames, which is the bug this
@@ -99,8 +85,6 @@ struct TransportResult {
   // Every histogram is wall_clock-flagged, so merging this into any
   // aggregate snapshot leaves the stable fingerprint untouched.
   MetricsSnapshot timing;
-
-  bool ok() const { return supported && notes.empty(); }
 };
 
 TransportResult run_transport_trial(const TrialPlan& plan,

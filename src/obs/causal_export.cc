@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/trace.h"
+
 namespace ftss {
 
 namespace {
@@ -91,28 +93,13 @@ std::string causal_dot_to_string(const History& h, CausalDotOptions options) {
   return os.str();
 }
 
-namespace {
-
-Value flow_record(const char* name, const char* ph, std::int64_t ts,
-                  std::int64_t tid) {
-  Value v;
-  v["name"] = Value(name);
-  v["ph"] = Value(ph);
-  v["pid"] = Value(0);
-  v["tid"] = Value(tid);
-  v["ts"] = Value(ts);
-  return v;
-}
-
-}  // namespace
-
 void export_chrome_flows(std::ostream& os, const History& h,
                          ChromeFlowOptions options) {
   const std::int64_t us = std::max<std::int64_t>(options.us_per_round, 4);
   Value::Array out;
 
   for (ProcessId p = 0; p < h.n; ++p) {
-    Value meta = flow_record("thread_name", "M", 0, p);
+    Value meta = chrome_record("thread_name", "M", 0, p);
     meta["args"]["name"] = Value("process " + std::to_string(p));
     out.push_back(std::move(meta));
   }
@@ -127,7 +114,7 @@ void export_chrome_flows(std::ostream& os, const History& h,
       std::string label = "r";
       label += std::to_string(rec.round);
       if (rec.clock[p]) label += " c=" + std::to_string(*rec.clock[p]);
-      Value span = flow_record(label.c_str(), "X", ts, p);
+      Value span = chrome_record(label.c_str(), "X", ts, p);
       span["dur"] = Value(us);
       out.push_back(std::move(span));
     }
@@ -140,17 +127,17 @@ void export_chrome_flows(std::ostream& os, const History& h,
       if (s.delivered && s.sender != s.dest) {
         const std::int64_t id = flow_id++;
         Value start =
-            flow_record("msg", "s", s.sent_round * us + us / 4, s.sender);
+            chrome_record("msg", "s", s.sent_round * us + us / 4, s.sender);
         start["id"] = Value(id);
         out.push_back(std::move(start));
-        Value finish = flow_record(
+        Value finish = chrome_record(
             "msg", "f", s.delivery_round * us + (3 * us) / 4, s.dest);
         finish["id"] = Value(id);
         finish["bp"] = Value("e");
         out.push_back(std::move(finish));
       } else if (!s.delivered) {
-        Value inst = flow_record("drop", "i",
-                                 s.delivery_round * us + (3 * us) / 4, s.dest);
+        Value inst = chrome_record(
+            "drop", "i", s.delivery_round * us + (3 * us) / 4, s.dest);
         inst["s"] = Value("t");
         inst["args"]["cause"] =
             Value(s.dropped_by_sender
@@ -170,7 +157,7 @@ void export_chrome_flows(std::ostream& os, const History& h,
 
   // De-stabilizing events.
   for (Round r : h.coterie_change_rounds()) {
-    Value inst = flow_record("coterie change", "i", r * us + us - 1, 0);
+    Value inst = chrome_record("coterie change", "i", r * us + us - 1, 0);
     inst["s"] = Value("g");
     out.push_back(std::move(inst));
   }

@@ -40,10 +40,6 @@ std::string JsonlTraceSink::to_string() const {
 
 void ChromeTraceSink::event(const TraceEvent& e) { events_.push_back(e); }
 
-namespace {
-
-// One trace_event record.  All fields are integers or strings, so the
-// repo's Value type renders it with correct escaping.
 Value chrome_record(const char* name, const char* ph, std::int64_t ts,
                     std::int64_t tid) {
   Value v;
@@ -54,6 +50,8 @@ Value chrome_record(const char* name, const char* ph, std::int64_t ts,
   v["ts"] = Value(ts);
   return v;
 }
+
+namespace {
 
 constexpr std::int64_t kRoundsTrack = 1000000;  // tid of the rounds lane
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <string>
@@ -23,6 +24,13 @@
 #include "sim/trace.h"
 
 namespace ftss {
+
+// One Chrome trace_event record {name, ph, pid 0, tid, ts}, the unit every
+// Chrome JSON writer here emits (ChromeTraceSink, export_chrome_flows).
+// All fields are integers or strings, so Value renders it with correct
+// escaping.
+Value chrome_record(const char* name, const char* ph, std::int64_t ts,
+                    std::int64_t tid);
 
 // One event as a structured Value: {"ev": kind, "r": round, "p": process,
 // "peer": peer, "aux": aux, "cause": detail, "flow": flow_id, "data": data}

@@ -2,12 +2,13 @@
 // a recorded history into per-(sent_round, sender, dest) queues of message
 // fates that a second execution leg can replay.
 //
-// Both differential legs — the event-simulator lock-step driver
-// (conform/lockstep.cc) and the socket transport leg (net/transport.cc) —
-// run the sync simulator first and read every message's fate (delivered /
-// dropped and by whom, plus the delivery round) off its audited history.
-// The extraction and the code<->name mapping live here, in sim/, so the two
-// replayers and the history differ agree byte-for-byte on what a fate *is*.
+// The replay ledger (check/replay.h), which both differential legs — the
+// event-simulator lock-step driver (conform/lockstep.cc) and the socket
+// transport leg (net/transport.cc) — share as their observer, runs the sync
+// simulator first and reads every message's fate (delivered / dropped and
+// by whom, plus the delivery round) off its audited history.  The
+// extraction and the code<->name mapping live here, in sim/, so the ledger
+// and the history differ agree byte-for-byte on what a fate *is*.
 #pragma once
 
 #include <map>
